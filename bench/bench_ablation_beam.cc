@@ -66,7 +66,7 @@ int main() {
   bench::PrintHeader(
       "Ablation: beam search vs exact discovery (music domain)");
   auto prepared_or = PreparedSchema::Create(
-      bench::Domain("music").schema, PreparedSchemaOptions{});
+      bench::Domain("music").schema, MeasureSelection{});
   EGP_CHECK(prepared_or.ok());
   const PreparedSchema prepared = std::move(prepared_or).value();
 

@@ -17,7 +17,7 @@ int main() {
   for (const std::string& name : UserStudyDomains()) {
     const GeneratedDomain& domain = bench::Domain(name);
     auto prepared =
-        PreparedSchema::Create(domain.schema, PreparedSchemaOptions{});
+        PreparedSchema::Create(domain.schema, MeasureSelection{});
     EGP_CHECK(prepared.ok());
     auto frontier = ComputeScoreFrontier(*prepared, kMaxK, kMaxN);
     EGP_CHECK(frontier.ok()) << frontier.status().ToString();

@@ -43,7 +43,7 @@ int main() {
 
     Timer refresh_timer;
     auto refreshed =
-        PreparedSchema::Create(stats.ToSchemaGraph(), PreparedSchemaOptions{});
+        PreparedSchema::Create(stats.ToSchemaGraph(), MeasureSelection{});
     EGP_CHECK(refreshed.ok());
     const double refresh_ms = refresh_timer.ElapsedMillis();
 
@@ -70,7 +70,7 @@ int main() {
     EGP_CHECK(rebuilt.ok());
     const SchemaGraph rederived = SchemaGraph::FromEntityGraph(*rebuilt);
     auto reprepared =
-        PreparedSchema::Create(rederived, PreparedSchemaOptions{});
+        PreparedSchema::Create(rederived, MeasureSelection{});
     EGP_CHECK(reprepared.ok());
     const double rederive_ms = rederive_timer.ElapsedMillis();
 

@@ -6,7 +6,7 @@
 
 #include "bench/bench_util.h"
 #include "common/strings.h"
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "eval/ranking_metrics.h"
 #include "eval/user_study.h"
 
@@ -15,17 +15,14 @@ namespace {
 using namespace egp;
 
 std::set<std::string> PreviewKeys(const GeneratedDomain& domain,
-                                  KeyMeasure km, NonKeyMeasure nm) {
-  PreparedSchemaOptions options;
-  options.key_measure = km;
-  options.nonkey_measure = nm;
-  auto prepared = PreparedSchema::Create(domain.schema, options,
+                                  const char* key, const char* nonkey) {
+  MeasureSelection measures;
+  measures.key = key;
+  measures.nonkey = nonkey;
+  auto prepared = PreparedSchema::Create(domain.schema, measures,
                                          &domain.graph);
   EGP_CHECK(prepared.ok());
-  PreviewDiscoverer discoverer(std::move(prepared).value());
-  DiscoveryOptions discovery;
-  discovery.size = {6, 15};
-  auto preview = discoverer.Discover(discovery);
+  auto preview = Discover(*prepared, "auto", {6, 15}, {});
   EGP_CHECK(preview.ok());
   std::set<std::string> keys;
   for (const PreviewTable& table : preview->tables) {
@@ -51,13 +48,13 @@ int main() {
       "Ablation: measure combinations vs preview keys (k=6, n=15)");
   const struct {
     const char* label;
-    KeyMeasure km;
-    NonKeyMeasure nm;
+    const char* key;
+    const char* nonkey;
   } combos[] = {
-      {"Cov+Cov", KeyMeasure::kCoverage, NonKeyMeasure::kCoverage},
-      {"Cov+Ent", KeyMeasure::kCoverage, NonKeyMeasure::kEntropy},
-      {"RW+Cov", KeyMeasure::kRandomWalk, NonKeyMeasure::kCoverage},
-      {"RW+Ent", KeyMeasure::kRandomWalk, NonKeyMeasure::kEntropy},
+      {"Cov+Cov", "coverage", "coverage"},
+      {"Cov+Ent", "coverage", "entropy"},
+      {"RW+Cov", "randomwalk", "coverage"},
+      {"RW+Ent", "randomwalk", "entropy"},
   };
 
   for (const std::string& name : UserStudyDomains()) {
@@ -69,7 +66,7 @@ int main() {
 
     std::array<std::set<std::string>, 4> keys;
     for (size_t i = 0; i < 4; ++i) {
-      keys[i] = PreviewKeys(domain, combos[i].km, combos[i].nm);
+      keys[i] = PreviewKeys(domain, combos[i].key, combos[i].nonkey);
     }
 
     bench::PrintRow("combo", {"gold-recall", "vs Cov+Cov overlap"}, 10, 20);

@@ -6,7 +6,8 @@
 //   (2) k = 3..9 on music, n = 20;
 //   (3) n = 8..20 on music, k = 6.
 // Brute force is capped at 2M subsets per configuration and linearly
-// extrapolated beyond (prefixed with '~'); see EXPERIMENTS.md.
+// extrapolated beyond (prefixed with '~'); see TimeBruteForce in
+// bench/bench_util.h.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -18,7 +19,7 @@ using namespace egp;
 
 PreparedSchema Prepare(const std::string& domain_name) {
   auto prepared = PreparedSchema::Create(
-      bench::Domain(domain_name).schema, PreparedSchemaOptions{});
+      bench::Domain(domain_name).schema, MeasureSelection{});
   EGP_CHECK(prepared.ok());
   return std::move(prepared).value();
 }

@@ -21,7 +21,7 @@ using namespace egp;
 
 PreparedSchema Prepare(const std::string& domain_name) {
   auto prepared = PreparedSchema::Create(
-      bench::Domain(domain_name).schema, PreparedSchemaOptions{});
+      bench::Domain(domain_name).schema, MeasureSelection{});
   EGP_CHECK(prepared.ok());
   return std::move(prepared).value();
 }

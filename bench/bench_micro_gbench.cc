@@ -6,7 +6,6 @@
 #include "bench/bench_util.h"
 #include "core/apriori.h"
 #include "core/brute_force.h"
-#include "core/discoverer.h"
 #include "core/dynamic_programming.h"
 #include "core/frontier.h"
 #include "graph/frozen_graph.h"
@@ -18,13 +17,9 @@ using namespace egp;
 
 const GeneratedDomain& MusicDomain() { return bench::Domain("music"); }
 
-PreparedSchema PreparedMusic(KeyMeasure km = KeyMeasure::kCoverage,
-                             NonKeyMeasure nm = NonKeyMeasure::kCoverage) {
-  PreparedSchemaOptions options;
-  options.key_measure = km;
-  options.nonkey_measure = nm;
+PreparedSchema PreparedMusic() {
   auto prepared =
-      PreparedSchema::Create(MusicDomain().schema, options,
+      PreparedSchema::Create(MusicDomain().schema, MeasureSelection{},
                              &MusicDomain().graph);
   EGP_CHECK(prepared.ok());
   return std::move(prepared).value();
@@ -41,27 +36,27 @@ BENCHMARK(BM_SchemaDerivation);
 void BM_PrepareCoverage(benchmark::State& state) {
   for (auto _ : state) {
     auto prepared = PreparedSchema::Create(MusicDomain().schema,
-                                           PreparedSchemaOptions{});
+                                           MeasureSelection{});
     benchmark::DoNotOptimize(prepared);
   }
 }
 BENCHMARK(BM_PrepareCoverage);
 
 void BM_PrepareRandomWalk(benchmark::State& state) {
-  PreparedSchemaOptions options;
-  options.key_measure = KeyMeasure::kRandomWalk;
+  MeasureSelection measures;
+  measures.key = "randomwalk";
   for (auto _ : state) {
-    auto prepared = PreparedSchema::Create(MusicDomain().schema, options);
+    auto prepared = PreparedSchema::Create(MusicDomain().schema, measures);
     benchmark::DoNotOptimize(prepared);
   }
 }
 BENCHMARK(BM_PrepareRandomWalk);
 
 void BM_PrepareEntropy(benchmark::State& state) {
-  PreparedSchemaOptions options;
-  options.nonkey_measure = NonKeyMeasure::kEntropy;
+  MeasureSelection measures;
+  measures.nonkey = "entropy";
   for (auto _ : state) {
-    auto prepared = PreparedSchema::Create(MusicDomain().schema, options,
+    auto prepared = PreparedSchema::Create(MusicDomain().schema, measures,
                                            &MusicDomain().graph);
     benchmark::DoNotOptimize(prepared);
   }

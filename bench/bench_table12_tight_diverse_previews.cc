@@ -4,31 +4,26 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "graph/schema_distance.h"
 
 namespace {
 
 using namespace egp;
 
-void ShowPreview(const PreviewDiscoverer& discoverer,
+void ShowPreview(const PreparedSchema& prepared,
                  const DistanceConstraint& constraint, const char* label) {
-  DiscoveryOptions options;
-  options.size = {5, 10};
-  options.distance = constraint;
-  auto preview = discoverer.Discover(options);
+  auto preview = Discover(prepared, "auto", {5, 10}, constraint);
   if (!preview.ok()) {
     std::printf("\n%s: %s\n", label, preview.status().ToString().c_str());
     return;
   }
-  std::printf("\n%s (score %.4g)\n", label,
-              preview->Score(discoverer.prepared()));
-  std::printf("%s",
-              DescribePreview(*preview, discoverer.prepared()).c_str());
+  std::printf("\n%s (score %.4g)\n", label, preview->Score(prepared));
+  std::printf("%s", DescribePreview(*preview, prepared).c_str());
 
   // Pairwise key distances — tight previews huddle, diverse ones spread.
   const auto keys = preview->Keys();
-  const SchemaDistanceMatrix& dist = discoverer.prepared().distances();
+  const SchemaDistanceMatrix& dist = prepared.distances();
   uint32_t min_d = UINT32_MAX, max_d = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
     for (size_t j = i + 1; j < keys.size(); ++j) {
@@ -48,13 +43,12 @@ int main() {
       "Table 12: sample optimal tight/diverse previews (film, Cov+Cov)");
   const GeneratedDomain& domain = bench::Domain("film");
   auto prepared =
-      PreparedSchema::Create(domain.schema, PreparedSchemaOptions{});
+      PreparedSchema::Create(domain.schema, MeasureSelection{});
   EGP_CHECK(prepared.ok());
-  PreviewDiscoverer discoverer(std::move(prepared).value());
 
-  ShowPreview(discoverer, DistanceConstraint::Tight(2),
+  ShowPreview(*prepared, DistanceConstraint::Tight(2),
               "tight preview, k=5, n=10, d=2");
-  ShowPreview(discoverer, DistanceConstraint::Diverse(4),
+  ShowPreview(*prepared, DistanceConstraint::Diverse(4),
               "diverse preview, k=5, n=10, d=4");
   std::printf(
       "\nExpected shape (paper Table 12): tight keys all orbit FILM "

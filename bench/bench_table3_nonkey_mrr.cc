@@ -12,11 +12,11 @@ namespace {
 
 using namespace egp;
 
-double NonKeyMrr(const GeneratedDomain& domain, NonKeyMeasure measure,
+double NonKeyMrr(const GeneratedDomain& domain, const std::string& nonkey,
                  size_t* types_evaluated) {
-  PreparedSchemaOptions options;
-  options.nonkey_measure = measure;
-  auto prepared = PreparedSchema::Create(domain.schema, options,
+  MeasureSelection measures;
+  measures.nonkey = nonkey;
+  auto prepared = PreparedSchema::Create(domain.schema, measures,
                                          &domain.graph);
   EGP_CHECK(prepared.ok()) << prepared.status().ToString();
 
@@ -50,9 +50,8 @@ int main() {
   for (const std::string& name : UserStudyDomains()) {
     const GeneratedDomain& domain = bench::Domain(name);
     size_t evaluated = 0;
-    const double coverage =
-        NonKeyMrr(domain, NonKeyMeasure::kCoverage, &evaluated);
-    const double entropy = NonKeyMrr(domain, NonKeyMeasure::kEntropy, nullptr);
+    const double coverage = NonKeyMrr(domain, "coverage", &evaluated);
+    const double entropy = NonKeyMrr(domain, "entropy", nullptr);
     bench::PrintRow(name, {bench::FormatDouble(coverage, 3),
                            bench::FormatDouble(entropy, 3),
                            std::to_string(evaluated)});

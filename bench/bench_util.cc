@@ -28,10 +28,10 @@ const GeneratedDomain& Domain(const std::string& name) {
 }
 
 std::vector<std::string> RankTypesByKeyMeasure(const GeneratedDomain& domain,
-                                               KeyMeasure measure) {
-  PreparedSchemaOptions options;
-  options.key_measure = measure;
-  auto prepared = PreparedSchema::Create(domain.schema, options);
+                                               const std::string& key) {
+  MeasureSelection measures;
+  measures.key = key;
+  auto prepared = PreparedSchema::Create(domain.schema, measures);
   EGP_CHECK(prepared.ok());
   std::vector<std::pair<double, std::string>> scored;
   for (TypeId t = 0; t < prepared->num_types(); ++t) {

@@ -44,10 +44,8 @@ void RunKeyAccuracyBench(AccuracyMetric metric, const char* title) {
   for (const std::string& name : UserStudyDomains()) {
     const GeneratedDomain& domain = Domain(name);
     const GroundTruth truth = GoldKeySet(domain);
-    const auto coverage =
-        RankTypesByKeyMeasure(domain, KeyMeasure::kCoverage);
-    const auto random_walk =
-        RankTypesByKeyMeasure(domain, KeyMeasure::kRandomWalk);
+    const auto coverage = RankTypesByKeyMeasure(domain, "coverage");
+    const auto random_walk = RankTypesByKeyMeasure(domain, "randomwalk");
     const auto yps09 = RankTypesByYps09(domain);
 
     std::printf("\ndomain=%s (K axis 1..20)\n", name.c_str());

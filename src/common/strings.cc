@@ -96,6 +96,60 @@ bool AppendUtf8(std::string* out, uint32_t code) {
   return true;
 }
 
+size_t Utf8SequenceLength(std::string_view text, const char** error) {
+  const auto fail = [error](const char* what) -> size_t {
+    if (error != nullptr) *error = what;
+    return 0;
+  };
+  if (text.empty()) return fail("truncated UTF-8 sequence");
+  const unsigned char lead = static_cast<unsigned char>(text[0]);
+  size_t length;
+  uint32_t code;
+  if (lead < 0x80) {
+    return 1;
+  } else if ((lead & 0xE0) == 0xC0) {
+    length = 2;
+    code = lead & 0x1F;
+  } else if ((lead & 0xF0) == 0xE0) {
+    length = 3;
+    code = lead & 0x0F;
+  } else if ((lead & 0xF8) == 0xF0) {
+    length = 4;
+    code = lead & 0x07;
+  } else {
+    return fail("invalid UTF-8 lead byte");
+  }
+  if (length > text.size()) return fail("truncated UTF-8 sequence");
+  for (size_t i = 1; i < length; ++i) {
+    const unsigned char cont = static_cast<unsigned char>(text[i]);
+    if ((cont & 0xC0) != 0x80) {
+      return fail("invalid UTF-8 continuation byte");
+    }
+    code = (code << 6) | (cont & 0x3F);
+  }
+  constexpr uint32_t kMinForLength[5] = {0, 0, 0x80, 0x800, 0x10000};
+  if (code < kMinForLength[length]) return fail("overlong UTF-8 encoding");
+  if (code >= 0xD800 && code <= 0xDFFF) {
+    return fail("raw UTF-16 surrogate in UTF-8 input");
+  }
+  if (code > 0x10FFFF) return fail("code point beyond U+10FFFF");
+  return length;
+}
+
+size_t FindInvalidUtf8(std::string_view text, const char** error) {
+  size_t i = 0;
+  while (i < text.size()) {
+    if (static_cast<unsigned char>(text[i]) < 0x80) {
+      ++i;
+      continue;
+    }
+    const size_t length = Utf8SequenceLength(text.substr(i), error);
+    if (length == 0) return i;
+    i += length;
+  }
+  return std::string_view::npos;
+}
+
 std::string StrFormat(const char* format, ...) {
   va_list args;
   va_start(args, format);

@@ -37,6 +37,19 @@ int HexDigitValue(char c);
 /// surrogate halves and code points above U+10FFFF.
 bool AppendUtf8(std::string* out, uint32_t code);
 
+/// Length (1-4) of the well-formed UTF-8 sequence that starts `text`, or
+/// 0 when there is none: a bad lead or continuation byte, a truncated
+/// sequence, an overlong form, a UTF-16 surrogate, or a code point above
+/// U+10FFFF. On 0, `*error` (when given) names the defect. The one UTF-8
+/// validator: the JSON parser and every graph loader use it.
+size_t Utf8SequenceLength(std::string_view text,
+                          const char** error = nullptr);
+
+/// Offset of the first byte of `text` that does not start a well-formed
+/// UTF-8 sequence, or std::string_view::npos when all of `text` is valid
+/// UTF-8. `*error` as for Utf8SequenceLength.
+size_t FindInvalidUtf8(std::string_view text, const char** error = nullptr);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* format, ...)
     __attribute__((format(printf, 1, 2)));

@@ -10,22 +10,6 @@
 
 namespace egp {
 
-const char* KeyMeasureName(KeyMeasure m) {
-  return m == KeyMeasure::kCoverage ? "Coverage" : "RandomWalk";
-}
-
-const char* NonKeyMeasureName(NonKeyMeasure m) {
-  return m == NonKeyMeasure::kCoverage ? "Coverage" : "Entropy";
-}
-
-const char* KeyMeasureRegistryName(KeyMeasure m) {
-  return m == KeyMeasure::kCoverage ? "coverage" : "randomwalk";
-}
-
-const char* NonKeyMeasureRegistryName(NonKeyMeasure m) {
-  return m == NonKeyMeasure::kCoverage ? "coverage" : "entropy";
-}
-
 Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
                                               const MeasureSelection& measures,
                                               const EntityGraph* graph,
@@ -35,15 +19,6 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
   Timer phase_timer;
   PreparedSchema prepared;
   prepared.measures_ = measures;
-  // Best-effort legacy enum view of the selection; unrecognized (custom)
-  // names read as the defaults.
-  prepared.options_.key_measure = measures.key == "randomwalk"
-                                      ? KeyMeasure::kRandomWalk
-                                      : KeyMeasure::kCoverage;
-  prepared.options_.nonkey_measure = measures.nonkey == "entropy"
-                                         ? NonKeyMeasure::kEntropy
-                                         : NonKeyMeasure::kCoverage;
-  prepared.options_.walk = measures.walk;
 
   const ScoringContext context{schema, graph, measures.walk, pool, frozen};
   ScoringRegistry& registry = ScoringRegistry::Global();
@@ -118,16 +93,6 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
   prepared.schema_ = std::move(schema);
   prepared.timings_.total_seconds = total_timer.ElapsedSeconds();
   return prepared;
-}
-
-Result<PreparedSchema> PreparedSchema::Create(
-    SchemaGraph schema, const PreparedSchemaOptions& options,
-    const EntityGraph* graph, ThreadPool* pool, const FrozenGraph* frozen) {
-  MeasureSelection measures;
-  measures.key = KeyMeasureRegistryName(options.key_measure);
-  measures.nonkey = NonKeyMeasureRegistryName(options.nonkey_measure);
-  measures.walk = options.walk;
-  return Create(std::move(schema), measures, graph, pool, frozen);
 }
 
 size_t PreparedSchema::TotalCandidates() const {

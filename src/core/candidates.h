@@ -22,22 +22,6 @@ namespace egp {
 
 class ThreadPool;
 
-/// Legacy enum selectors for the paper's built-in measures. Internal
-/// callers (benches, unit tests) may keep using them; they resolve to the
-/// ScoringRegistry names "coverage"/"randomwalk"/"entropy". New code and
-/// everything above the core layer should select measures by name via
-/// MeasureSelection (see scoring_registry.h) or the egp::Engine façade.
-enum class KeyMeasure : uint8_t { kCoverage = 0, kRandomWalk };
-enum class NonKeyMeasure : uint8_t { kCoverage = 0, kEntropy };
-
-const char* KeyMeasureName(KeyMeasure m);
-const char* NonKeyMeasureName(NonKeyMeasure m);
-
-/// Registry names of the built-in measures ("coverage", "randomwalk",
-/// "entropy") — the join point between the enums and MeasureSelection.
-const char* KeyMeasureRegistryName(KeyMeasure m);
-const char* NonKeyMeasureRegistryName(NonKeyMeasure m);
-
 /// A candidate non-key attribute of some table: a schema edge used in a
 /// specific direction relative to the table's key type. A self-loop edge
 /// yields one candidate per direction.
@@ -56,12 +40,6 @@ struct TypeCandidates {
 
   size_t size() const { return sorted.size(); }
   double TopSum(size_t m) const { return prefix[m]; }
-};
-
-struct PreparedSchemaOptions {
-  KeyMeasure key_measure = KeyMeasure::kCoverage;
-  NonKeyMeasure nonkey_measure = NonKeyMeasure::kCoverage;
-  RandomWalkOptions walk;
 };
 
 /// Wall-clock breakdown of one PreparedSchema build, by phase. The paper
@@ -98,17 +76,9 @@ class PreparedSchema {
                                        ThreadPool* pool = nullptr,
                                        const FrozenGraph* frozen = nullptr);
 
-  /// Legacy enum spelling; forwards to the registry-based overload.
-  static Result<PreparedSchema> Create(SchemaGraph schema,
-                                       const PreparedSchemaOptions& options,
-                                       const EntityGraph* graph = nullptr,
-                                       ThreadPool* pool = nullptr,
-                                       const FrozenGraph* frozen = nullptr);
-
   const SchemaGraph& schema() const { return schema_; }
   /// The measure names this instance was prepared with.
   const MeasureSelection& measures() const { return measures_; }
-  const PreparedSchemaOptions& options() const { return options_; }
   const SchemaDistanceMatrix& distances() const { return *distances_; }
   /// Per-phase wall-clock cost of the Create call that built this.
   const PrepareTimings& timings() const { return timings_; }
@@ -156,7 +126,6 @@ class PreparedSchema {
 
   SchemaGraph schema_;
   MeasureSelection measures_;
-  PreparedSchemaOptions options_;
   PrepareTimings timings_;
   std::vector<double> key_scores_;
   std::vector<TypeCandidates> candidates_;

@@ -1,0 +1,41 @@
+// Discover: the library's one algorithm dispatch for optimal previews.
+//
+// Selects a discovery algorithm by name, like the scoring measures: DP for
+// concise previews (§5.1), Apriori when a distance constraint removes DP's
+// optimal substructure (§5.2), brute force (the oracle) and beam search
+// (the approximate ablation) on demand. The Engine, the report generator,
+// the CLI and the benches all go through it.
+#ifndef EGP_CORE_DISCOVER_H_
+#define EGP_CORE_DISCOVER_H_
+
+#include <string>
+
+#include "common/result.h"
+#include "core/brute_force.h"  // DiscoveryStats
+#include "core/constraints.h"
+#include "core/preview.h"
+
+namespace egp {
+
+/// Canonical spelling of an algorithm name: "auto", "bf" (brute force;
+/// "bruteforce" is accepted), "dp" (dynamic programming), "apriori",
+/// "beam". Unknown names fail with InvalidArgument listing the
+/// available ones.
+Result<std::string> CanonicalAlgorithmName(const std::string& name);
+
+/// Finds a preview in the requested space with the named algorithm (any
+/// name CanonicalAlgorithmName accepts). "auto" picks DP for concise and
+/// Apriori for tight/diverse requests. DP cannot honour distance
+/// constraints (§5.2) and returns InvalidArgument if asked to. When
+/// `resolved` is given it receives the canonical name of the algorithm
+/// that ran ("dp", "apriori", ...), on success and failure alike.
+Result<Preview> Discover(const PreparedSchema& prepared,
+                         const std::string& algorithm,
+                         const SizeConstraint& size,
+                         const DistanceConstraint& distance,
+                         DiscoveryStats* stats = nullptr,
+                         std::string* resolved = nullptr);
+
+}  // namespace egp
+
+#endif  // EGP_CORE_DISCOVER_H_

@@ -4,8 +4,8 @@
 // but the serving layer treats measures as pluggable: callers select them
 // by name ("coverage", "randomwalk", "entropy") and extensions register
 // new ones without touching any options struct. The registry is the single
-// source of truth for what a measure name means; the legacy KeyMeasure /
-// NonKeyMeasure enums map onto it for the benches and internal callers.
+// source of truth for what a measure name means, and MeasureSelection is
+// the one way every layer (core, benches, CLI, Engine) names a choice.
 #ifndef EGP_CORE_SCORING_REGISTRY_H_
 #define EGP_CORE_SCORING_REGISTRY_H_
 

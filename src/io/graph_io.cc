@@ -19,6 +19,15 @@ Result<EntityGraph> ReadEntityGraph(std::istream& in) {
     ++line_number;
     std::string_view view = Trim(line);
     if (view.empty() || view[0] == '#') continue;
+    const char* utf8_error = nullptr;
+    const size_t bad_byte = FindInvalidUtf8(view, &utf8_error);
+    if (bad_byte != std::string_view::npos) {
+      // 1-based column in the original (untrimmed) line.
+      const size_t column =
+          static_cast<size_t>(view.data() - line.data()) + bad_byte + 1;
+      return Status::Corruption(StrFormat("line %zu, col %zu: %s",
+                                          line_number, column, utf8_error));
+    }
     const std::vector<std::string> fields = Split(view, '\t');
     const std::string& kind = fields[0];
     auto error = [&](const char* what) {

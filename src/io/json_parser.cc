@@ -331,52 +331,14 @@ class Parser {
     return true;
   }
 
-  /// One UTF-8 sequence of raw (non-escape) string bytes. Validates
-  /// structure and rejects overlong forms, surrogates, and > U+10FFFF so
-  /// no invalid byte sequence survives into parsed values.
+  /// One UTF-8 sequence of raw (non-escape) string bytes, checked by the
+  /// shared validator so no invalid byte sequence survives into parsed
+  /// values.
   bool ConsumeUtf8Sequence(std::string* out) {
-    const unsigned char lead = static_cast<unsigned char>(Peek());
-    size_t length;
-    uint32_t code;
-    if (lead < 0x80) {
-      length = 1;
-      code = lead;
-    } else if ((lead & 0xE0) == 0xC0) {
-      length = 2;
-      code = lead & 0x1F;
-    } else if ((lead & 0xF0) == 0xE0) {
-      length = 3;
-      code = lead & 0x0F;
-    } else if ((lead & 0xF8) == 0xF0) {
-      length = 4;
-      code = lead & 0x07;
-    } else {
-      Error("invalid UTF-8 lead byte");
-      return false;
-    }
-    if (pos_ + length > text_.size()) {
-      Error("truncated UTF-8 sequence");
-      return false;
-    }
-    for (size_t i = 1; i < length; ++i) {
-      const unsigned char cont = static_cast<unsigned char>(text_[pos_ + i]);
-      if ((cont & 0xC0) != 0x80) {
-        Error("invalid UTF-8 continuation byte");
-        return false;
-      }
-      code = (code << 6) | (cont & 0x3F);
-    }
-    constexpr uint32_t kMinForLength[5] = {0, 0, 0x80, 0x800, 0x10000};
-    if (length > 1 && code < kMinForLength[length]) {
-      Error("overlong UTF-8 encoding");
-      return false;
-    }
-    if (code >= 0xD800 && code <= 0xDFFF) {
-      Error("raw UTF-16 surrogate in UTF-8 input");
-      return false;
-    }
-    if (code > 0x10FFFF) {
-      Error("code point beyond U+10FFFF");
+    const char* error = nullptr;
+    const size_t length = Utf8SequenceLength(text_.substr(pos_), &error);
+    if (length == 0) {
+      Error(error);
       return false;
     }
     out->append(text_.substr(pos_, length));

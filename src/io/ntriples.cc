@@ -28,6 +28,11 @@ Status ParseTriple(std::string_view line, std::string* s, std::string* p,
     *error_at = at;
     return Status::Corruption(what);
   };
+  // Names must be valid UTF-8 (escapes below can only produce valid
+  // sequences), or every JSON body that echoes them would be invalid.
+  const char* utf8_error = nullptr;
+  const size_t bad_byte = FindInvalidUtf8(line, &utf8_error);
+  if (bad_byte != std::string_view::npos) return fail(bad_byte, utf8_error);
   std::vector<std::string> tokens;
   size_t i = 0;
   const size_t n = line.size();

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/strings.h"
+#include "core/discover.h"
 #include "graph/graph_stats.h"
 #include "io/graphviz_export.h"
 #include "io/preview_renderer.h"
@@ -37,7 +38,7 @@ Result<std::string> GeneratePreviewReport(const EntityGraph& graph,
 
   // --- Key attribute ranking ----------------------------------------------
   out << "## Most important entity types ("
-      << KeyMeasureName(options.measures.key_measure) << ")\n\n";
+      << options.measures.key << ")\n\n";
   out << "| rank | entity type | score | entities |\n|---|---|---|---|\n";
   std::vector<std::pair<double, TypeId>> ranked;
   for (TypeId t = 0; t < prepared.num_types(); ++t) {
@@ -55,23 +56,20 @@ Result<std::string> GeneratePreviewReport(const EntityGraph& graph,
   out << "\n";
 
   // --- Preview -------------------------------------------------------------
-  PreviewDiscoverer discoverer(std::move(prepared));
-  EGP_ASSIGN_OR_RETURN(Preview preview,
-                       discoverer.Discover(options.discovery));
-  out << "## Preview (k=" << options.discovery.size.k
-      << ", n=" << options.discovery.size.n;
-  if (options.discovery.distance.mode == DistanceMode::kTight) {
-    out << ", tight d=" << options.discovery.distance.d;
-  } else if (options.discovery.distance.mode == DistanceMode::kDiverse) {
-    out << ", diverse d=" << options.discovery.distance.d;
+  EGP_ASSIGN_OR_RETURN(
+      Preview preview,
+      Discover(prepared, "auto", options.size, options.distance));
+  out << "## Preview (k=" << options.size.k << ", n=" << options.size.n;
+  if (options.distance.mode == DistanceMode::kTight) {
+    out << ", tight d=" << options.distance.d;
+  } else if (options.distance.mode == DistanceMode::kDiverse) {
+    out << ", diverse d=" << options.distance.d;
   }
-  out << ", score " << StrFormat("%.6g", preview.Score(discoverer.prepared()))
-      << ")\n\n";
+  out << ", score " << StrFormat("%.6g", preview.Score(prepared)) << ")\n\n";
 
   EGP_ASSIGN_OR_RETURN(
       MaterializedPreview materialized,
-      MaterializePreview(graph, discoverer.prepared(), preview,
-                         options.sampler));
+      MaterializePreview(graph, prepared, preview, options.sampler));
   RenderOptions render;
   render.format = RenderOptions::Format::kMarkdown;
   render.show_direction = true;
@@ -80,7 +78,7 @@ Result<std::string> GeneratePreviewReport(const EntityGraph& graph,
   // --- Appendix --------------------------------------------------------------
   if (options.include_dot) {
     out << "## Appendix: schema graph (Graphviz)\n\n```dot\n"
-        << PreviewToDot(discoverer.prepared(), preview) << "```\n";
+        << PreviewToDot(prepared, preview) << "```\n";
   }
   return out.str();
 }

@@ -11,7 +11,8 @@
 #include <string>
 
 #include "common/result.h"
-#include "core/discoverer.h"
+#include "core/constraints.h"
+#include "core/scoring_registry.h"
 #include "core/tuple_sampler.h"
 #include "graph/entity_graph.h"
 
@@ -19,8 +20,10 @@ namespace egp {
 
 struct ReportOptions {
   std::string title = "Dataset preview";
-  PreparedSchemaOptions measures;
-  DiscoveryOptions discovery = {{3, 9}, {}, Algorithm::kAuto};
+  MeasureSelection measures;
+  /// Discovery runs the "auto" algorithm (core/discover.h) on these.
+  SizeConstraint size{3, 9};
+  DistanceConstraint distance;
   TupleSamplerOptions sampler;
   size_t top_keys = 8;       // ranking table length
   bool include_dot = false;  // appendix with Graphviz source

@@ -12,11 +12,8 @@ Result<bool> PreviewDecision(const SchemaGraph& schema, uint32_t k,
                              double s) {
   // Scores are irrelevant to the proofs (s = 0 casts no requirement);
   // coverage measures on the unit-weight construction suffice.
-  PreparedSchemaOptions options;
-  options.key_measure = KeyMeasure::kCoverage;
-  options.nonkey_measure = NonKeyMeasure::kCoverage;
   EGP_ASSIGN_OR_RETURN(PreparedSchema prepared,
-                       PreparedSchema::Create(schema, options));
+                       PreparedSchema::Create(schema, MeasureSelection{}));
   auto result = BruteForceDiscover(prepared, SizeConstraint{k, n}, distance);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kNotFound) return false;

@@ -93,11 +93,9 @@ Result<std::unique_ptr<HttpServer>> HttpServer::Start(
 
   const unsigned workers =
       options.workers == 0 ? std::max(2u, Threads()) : options.workers;
-  if (workers > 1) {
-    // ThreadPool(n) supplies n-1 worker threads; the loop thread never
-    // participates, so ask for workers+1 to get `workers` real threads.
-    server->pool_ = std::make_unique<ThreadPool>(workers + 1);
-  }
+  // ThreadPool(n) supplies n-1 worker threads; the loop thread never
+  // participates, so ask for workers+1 to get `workers` real threads.
+  server->pool_ = std::make_unique<ThreadPool>(workers + 1);
   {
     MutexLock lock(&server->mu_);
     server->loop_started_ = true;  // before spawn: Wait() keys off this
@@ -331,15 +329,17 @@ void HttpServer::HandleAcceptOverload() {
       response.headers.emplace_back("Retry-After", "1");
       const std::string bytes =
           SerializeResponse(response, /*keep_alive=*/false);
-      // One best-effort non-blocking write; holding the connection for a
-      // slow reader would defeat the point of shedding it.
-      (void)PosixSend(conn.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
-      shed = true;
+      // Counted before the write, so a client that has read its 503 can
+      // already see the shed in stats().
       {
         MutexLock lock(&mu_);
         ++stats_.rejected_connections;
         ++stats_.overload_sheds;
       }
+      // One best-effort non-blocking write; holding the connection for a
+      // slow reader would defeat the point of shedding it.
+      (void)PosixSend(conn.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      shed = true;
     }
     emergency_fd_ = UniqueFd(PosixOpen("/dev/null", O_RDONLY | O_CLOEXEC));
   }
@@ -483,51 +483,31 @@ void HttpServer::DispatchRequest(Connection* conn) {
     conn->trace->bytes_in = message_bytes;
   }
 
-  if (pool_ != nullptr) {
-    const int fd = conn->fd.get();
-    const uint64_t generation = conn->generation;
-    // The task shares the trace with the connection: the pool thread owns
-    // its handler-side fields until the completion is queued (the
-    // completion mutex orders the handback).
-    pool_->Submit([this, fd, generation, request, trace = conn->trace] {
-      Completion completion;
-      completion.fd = fd;
-      completion.generation = generation;
-      if (trace != nullptr) {
-        const int64_t start_ns = MonotonicNanos();
-        trace->queue_seconds =
-            static_cast<double>(start_ns - trace->dispatch_ns) * 1e-9;
-        ScopedRequestTrace scope(trace.get());
-        completion.response = RunHandler(*request);
-        // The admission wait is reported as its own phase, not as
-        // handler compute.
-        trace->handler_seconds =
-            static_cast<double>(MonotonicNanos() - start_ns) * 1e-9 -
-            trace->admission_seconds;
-      } else {
-        completion.response = RunHandler(*request);
-      }
-      PushCompletion(std::move(completion));
-    });
-  } else {
-    // workers == 1: inline on the loop thread (ThreadPool(1) has no
-    // workers, a submitted task would never run).
-    HttpResponse response;
-    if (conn->trace != nullptr) {
-      RequestTrace* trace = conn->trace.get();
+  const int fd = conn->fd.get();
+  const uint64_t generation = conn->generation;
+  // The task shares the trace with the connection: the pool thread owns
+  // its handler-side fields until the completion is queued (the
+  // completion mutex orders the handback).
+  pool_->Submit([this, fd, generation, request, trace = conn->trace] {
+    Completion completion;
+    completion.fd = fd;
+    completion.generation = generation;
+    if (trace != nullptr) {
       const int64_t start_ns = MonotonicNanos();
       trace->queue_seconds =
           static_cast<double>(start_ns - trace->dispatch_ns) * 1e-9;
-      ScopedRequestTrace scope(trace);
-      response = RunHandler(*request);
+      ScopedRequestTrace scope(trace.get());
+      completion.response = RunHandler(*request);
+      // The admission wait is reported as its own phase, not as
+      // handler compute.
       trace->handler_seconds =
           static_cast<double>(MonotonicNanos() - start_ns) * 1e-9 -
           trace->admission_seconds;
     } else {
-      response = RunHandler(*request);
+      completion.response = RunHandler(*request);
     }
-    CompleteRequest(conn, response);
-  }
+    PushCompletion(std::move(completion));
+  });
 }
 
 void HttpServer::BeginTrace(Connection* conn, const HttpRequest* request,
@@ -568,7 +548,7 @@ void HttpServer::FinishTrace(Connection* conn) {
 }
 
 HttpResponse HttpServer::RunHandler(const HttpRequest& request) {
-  // Runs on a pool thread (or the loop thread in inline mode).
+  // Runs on a pool thread.
   const ScopedTracePhase profiled_phase(TracePhase::kHandler);
   try {
     return handler_(request);

@@ -59,10 +59,10 @@ struct HttpServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read the result from port().
   uint16_t port = 0;
-  /// Handler compute threads. 0 resolves to max(2, egp::Threads()). 1
-  /// means no pool at all: handlers run inline on the loop thread
-  /// (useful for debugging; serializes compute, but I/O still never
-  /// blocks).
+  /// Handler compute threads. 0 resolves to max(2, egp::Threads()).
+  /// Handlers always run on this pool, never on the event-loop thread,
+  /// so a slow handler (a cold PreparedSchema build, an admission wait)
+  /// cannot stall other connections' I/O; 1 is a single worker.
   unsigned workers = 0;
   /// listen(2) backlog for the kernel's accept queue.
   int listen_backlog = 128;
@@ -258,7 +258,7 @@ class HttpServer {
   UniqueFd wakeup_pipe_read_;
   UniqueFd wakeup_pipe_write_;
 
-  std::unique_ptr<ThreadPool> pool_;  // null when workers == 1 (inline)
+  std::unique_ptr<ThreadPool> pool_;  // handler workers; never null
 
   std::atomic<bool> draining_{false};
 

@@ -11,9 +11,7 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "core/apriori.h"
-#include "core/beam_search.h"
-#include "core/dynamic_programming.h"
+#include "core/discover.h"
 
 namespace egp {
 namespace {
@@ -55,17 +53,6 @@ std::string MeasureDisplay(const MeasureSelection& measures) {
 }
 
 }  // namespace
-
-Result<std::string> CanonicalAlgorithmName(const std::string& name) {
-  if (name == "auto" || name == "bf" || name == "dp" || name == "apriori" ||
-      name == "beam") {
-    return name;
-  }
-  if (name == "bruteforce") return std::string("bf");
-  return Status::InvalidArgument(
-      "unknown algorithm '" + name +
-      "' (available: auto, bf, dp, apriori, beam)");
-}
 
 struct Engine::State {
   // Set for FromGraph engines; schema-only engines serve without it.
@@ -329,8 +316,8 @@ Result<ConstraintSuggestion> Engine::Suggest(
 
 Result<PreviewResponse> Engine::Preview(const PreviewRequest& request) const {
   PreviewResponse response;
-  EGP_ASSIGN_OR_RETURN(response.algorithm,
-                       CanonicalAlgorithmName(request.algorithm));
+  // Reject an unknown algorithm name before paying for a prepare.
+  EGP_RETURN_IF_ERROR(CanonicalAlgorithmName(request.algorithm).status());
   if (request.sample_rows > 0 && !state_->graph) {
     return Status::InvalidArgument(
         "tuple sampling requires an entity graph; this engine serves a "
@@ -367,39 +354,15 @@ Result<PreviewResponse> Engine::Preview(const PreviewRequest& request) const {
     }
   }
 
-  // Dispatch discovery. "auto" mirrors PreviewDiscoverer: DP solves the
-  // concise space, Apriori the distance-constrained ones.
-  std::string algorithm = response.algorithm;
-  if (algorithm == "auto") {
-    algorithm =
-        response.distance.mode == DistanceMode::kNone ? "dp" : "apriori";
-    response.algorithm = algorithm;
-  }
   Timer discover_timer;
-  Result<egp::Preview> preview = Status::Internal("unset");
   {
     const ScopedTracePhase profiled_phase(TracePhase::kDiscover);
-    if (algorithm == "bf") {
-      preview = BruteForceDiscover(*prepared, response.size, response.distance,
-                                   BruteForceOptions{}, &response.stats);
-    } else if (algorithm == "dp") {
-      if (response.distance.mode != DistanceMode::kNone) {
-        return Status::InvalidArgument(
-            "the dynamic-programming algorithm only solves the concise "
-            "space; distance constraints lack its optimal substructure");
-      }
-      preview = DynamicProgrammingDiscover(*prepared, response.size);
-    } else if (algorithm == "apriori") {
-      preview = AprioriDiscover(*prepared, response.size, response.distance,
-                                AprioriOptions{}, &response.stats);
-    } else {
-      preview = BeamSearchDiscover(*prepared, response.size, response.distance,
-                                   BeamSearchOptions{}, &response.stats);
-    }
+    EGP_ASSIGN_OR_RETURN(
+        response.preview,
+        Discover(*prepared, request.algorithm, response.size,
+                 response.distance, &response.stats, &response.algorithm));
   }
-  if (!preview.ok()) return preview.status();
   response.discover_seconds = discover_timer.ElapsedSeconds();
-  response.preview = std::move(preview).value();
   response.score = response.preview.Score(*prepared);
 
   if (request.sample_rows > 0) {

@@ -11,10 +11,10 @@
 // threads. Follow-up requests that only change the constraints hit the
 // cache and pay just the discovery cost.
 //
-// The classes underneath (PreparedSchema, PreviewDiscoverer, the
-// per-algorithm Discover functions, MaterializePreview) remain available
-// as the documented internal layer; application code — CLI, examples,
-// services — should go through the Engine.
+// The layer underneath (PreparedSchema, the Discover dispatch and the
+// per-algorithm *Discover functions, MaterializePreview) remains
+// available as the documented internal layer; application code — CLI,
+// examples, services — should go through the Engine.
 #ifndef EGP_SERVICE_ENGINE_H_
 #define EGP_SERVICE_ENGINE_H_
 
@@ -27,9 +27,9 @@
 
 #include "common/result.h"
 #include "core/advisor.h"
-#include "core/brute_force.h"  // DiscoveryStats
 #include "core/candidates.h"
 #include "core/constraints.h"
+#include "core/discover.h"
 #include "core/preview.h"
 #include "core/scoring_registry.h"
 #include "core/tuple_sampler.h"
@@ -38,12 +38,6 @@
 #include "graph/schema_graph.h"
 
 namespace egp {
-
-/// Discovery algorithm, selected by name like the scoring measures:
-/// "auto", "bf" (brute force), "dp" (dynamic programming), "apriori",
-/// "beam". "auto" picks DP for concise requests and Apriori when a
-/// distance constraint is present.
-Result<std::string> CanonicalAlgorithmName(const std::string& name);
 
 /// One preview-serving request.
 struct PreviewRequest {
@@ -62,7 +56,7 @@ struct PreviewRequest {
   /// Scoring measures, by ScoringRegistry name.
   MeasureSelection measures;
 
-  /// Algorithm name; see CanonicalAlgorithmName.
+  /// Algorithm name; see CanonicalAlgorithmName (core/discover.h).
   std::string algorithm = "auto";
 
   /// Rows to sample per preview table; 0 skips materialization (the

@@ -173,6 +173,12 @@ Result<StringPool> ParseStringTable(const Section& section, const char* name,
   for (uint64_t i = 0; i < count; ++i) {
     const std::string_view text(blob.data() + offsets[i],
                                 offsets[i + 1] - offsets[i]);
+    const char* utf8_error = nullptr;
+    if (FindInvalidUtf8(text, &utf8_error) != std::string_view::npos) {
+      return Corrupt(StrFormat("%s: string %llu is not valid UTF-8 (%s)",
+                               name, static_cast<unsigned long long>(i),
+                               utf8_error));
+    }
     if (pool.Intern(text) != i) {
       return Corrupt(std::string(name) + ": duplicate string '" +
                      std::string(text) + "'");

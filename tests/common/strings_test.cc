@@ -60,6 +60,44 @@ TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("%s", "plain"), "plain");
 }
 
+TEST(Utf8Test, SequenceLengths) {
+  EXPECT_EQ(Utf8SequenceLength("a"), 1u);
+  EXPECT_EQ(Utf8SequenceLength("\xc3\xa9"), 2u);          // U+00E9
+  EXPECT_EQ(Utf8SequenceLength("\xe2\x82\xac"), 3u);      // U+20AC
+  EXPECT_EQ(Utf8SequenceLength("\xf0\x9f\x98\x80"), 4u);  // U+1F600
+}
+
+TEST(Utf8Test, EveryDefectIsNamed) {
+  const struct {
+    std::string_view bytes;
+    const char* error;
+  } cases[] = {
+      {"\xff", "invalid UTF-8 lead byte"},
+      {"\x80", "invalid UTF-8 lead byte"},
+      {"\xc3", "truncated UTF-8 sequence"},
+      {"\xc3Z", "invalid UTF-8 continuation byte"},
+      {"\xc0\xaf", "overlong UTF-8 encoding"},
+      {"\xed\xa0\x80", "raw UTF-16 surrogate in UTF-8 input"},
+      {"\xf4\x90\x80\x80", "code point beyond U+10FFFF"},
+  };
+  for (const auto& c : cases) {
+    const char* error = nullptr;
+    EXPECT_EQ(Utf8SequenceLength(c.bytes, &error), 0u) << c.error;
+    EXPECT_STREQ(error, c.error);
+  }
+}
+
+TEST(Utf8Test, FindInvalidUtf8ReportsFirstBadOffset) {
+  EXPECT_EQ(FindInvalidUtf8(""), std::string_view::npos);
+  EXPECT_EQ(FindInvalidUtf8("plain ascii"), std::string_view::npos);
+  EXPECT_EQ(FindInvalidUtf8("caf\xc3\xa9 ok"), std::string_view::npos);
+  const char* error = nullptr;
+  EXPECT_EQ(FindInvalidUtf8("UNIV\xff" "ERSITY", &error), 4u);
+  EXPECT_STREQ(error, "invalid UTF-8 lead byte");
+  EXPECT_EQ(FindInvalidUtf8("\xc3\xa9\xc3", &error), 2u);
+  EXPECT_STREQ(error, "truncated UTF-8 sequence");
+}
+
 TEST(StrFormatTest, EmptyAndLongOutputs) {
   EXPECT_EQ(StrFormat("%s", ""), "");
   const std::string long_arg(500, 'x');

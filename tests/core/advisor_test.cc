@@ -13,7 +13,7 @@ PreparedSchema PreparePaper() {
   auto prepared =
       PreparedSchema::Create(SchemaGraph::FromEntityGraph(
                                  BuildPaperExampleGraph()),
-                             PreparedSchemaOptions{});
+                             MeasureSelection{});
   EXPECT_TRUE(prepared.ok());
   return std::move(prepared).value();
 }
@@ -55,7 +55,7 @@ TEST(AdvisorTest, KCappedByEligibleTypes) {
   tiny.AddType("B", 5);
   tiny.AddType("ISOLATED", 5);
   tiny.AddEdge("r", 0, 1, 3);
-  auto prepared = PreparedSchema::Create(tiny, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(tiny, MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
   DisplayBudget huge;
   huge.height_rows = 1000;
@@ -68,7 +68,7 @@ TEST(AdvisorTest, NCappedByAvailableCandidates) {
   tiny.AddType("A", 5);
   tiny.AddType("B", 5);
   tiny.AddEdge("r", 0, 1, 3);  // two candidates total (both directions)
-  auto prepared = PreparedSchema::Create(tiny, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(tiny, MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
   DisplayBudget wide;
   wide.width_chars = 4000;
@@ -82,7 +82,7 @@ TEST(AdvisorTest, SuggestionsAreDiscoverable) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const SchemaGraph schema =
         testing_util::RandomSchemaGraph(seed, 12, 24);
-    auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+    auto prepared = PreparedSchema::Create(schema, MeasureSelection{});
     ASSERT_TRUE(prepared.ok());
     const ConstraintSuggestion s = SuggestConstraints(*prepared);
     auto preview = DynamicProgrammingDiscover(

@@ -13,7 +13,7 @@ PreparedSchema PreparePaper() {
   auto prepared =
       PreparedSchema::Create(SchemaGraph::FromEntityGraph(
                                  BuildPaperExampleGraph()),
-                             PreparedSchemaOptions{});
+                             MeasureSelection{});
   EXPECT_TRUE(prepared.ok());
   return std::move(prepared).value();
 }
@@ -83,7 +83,7 @@ class BeamQualityTest : public ::testing::TestWithParam<BeamInstance> {};
 TEST_P(BeamQualityTest, NeverBeatsAndUsuallyMatchesOptimal) {
   const BeamInstance& p = GetParam();
   const SchemaGraph schema = testing_util::RandomSchemaGraph(p.seed, 12, 24);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema, MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
   const SizeConstraint size{p.k, p.n};
   for (const DistanceConstraint& constraint :

@@ -1,10 +1,11 @@
-// Unit tests of the three discovery algorithms on the paper's running
-// example and hand-checkable schema graphs.
+// Unit tests of the discovery algorithms and their name-keyed dispatch on
+// the paper's running example and hand-checkable schema graphs.
 #include <gtest/gtest.h>
 
 #include "core/apriori.h"
+#include "core/beam_search.h"
 #include "core/brute_force.h"
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "core/dynamic_programming.h"
 #include "datagen/paper_example.h"
 
@@ -16,7 +17,7 @@ class DiscoveryTest : public ::testing::Test {
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
     auto prepared = PreparedSchema::Create(
-        SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
+        SchemaGraph::FromEntityGraph(graph_), MeasureSelection{});
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
   }
@@ -71,14 +72,10 @@ TEST_F(DiscoveryTest, TightOptimumMatchesConciseHere) {
 }
 
 TEST_F(DiscoveryTest, SingleTablePreviews) {
-  for (auto algorithm : {Algorithm::kBruteForce,
-                         Algorithm::kDynamicProgramming}) {
-    PreviewDiscoverer discoverer(*prepared_);
-    DiscoveryOptions options;
-    options.size = {1, 3};
-    options.algorithm = algorithm;
-    const auto preview = discoverer.Discover(options);
-    ASSERT_TRUE(preview.ok());
+  for (const char* algorithm : {"bf", "dp"}) {
+    const auto preview = Discover(*prepared_, algorithm, SizeConstraint{1, 3},
+                                  DistanceConstraint::None());
+    ASSERT_TRUE(preview.ok()) << algorithm;
     // Best single table: FILM with top-3 = 4·15 = 60.
     EXPECT_DOUBLE_EQ(preview->Score(*prepared_), 60.0);
   }
@@ -146,39 +143,89 @@ TEST_F(DiscoveryTest, TruncationStopsEnumeration) {
   EXPECT_TRUE(stats.truncated);
 }
 
-TEST_F(DiscoveryTest, AutoDispatch) {
-  PreviewDiscoverer discoverer(*prepared_);
-  DiscoveryOptions concise;
-  concise.size = {2, 6};
-  const auto p1 = discoverer.Discover(concise);
-  ASSERT_TRUE(p1.ok());
-  EXPECT_DOUBLE_EQ(p1->Score(discoverer.prepared()), 84.0);
-
-  DiscoveryOptions diverse;
-  diverse.size = {2, 6};
-  diverse.distance = DistanceConstraint::Diverse(2);
-  const auto p2 = discoverer.Discover(diverse);
-  ASSERT_TRUE(p2.ok());
-  EXPECT_DOUBLE_EQ(p2->Score(discoverer.prepared()), 78.0);
+/// A canonical string of a preview for exact comparisons: keys and
+/// non-key (edge, direction) in discovery order.
+std::string PreviewShape(const Preview& preview) {
+  std::string shape;
+  for (const PreviewTable& table : preview.tables) {
+    shape += std::to_string(table.key) + ":";
+    for (const NonKeyCandidate& c : table.nonkeys) {
+      shape += std::to_string(c.schema_edge) +
+               (c.direction == Direction::kOutgoing ? "o," : "i,");
+    }
+    shape += ";";
+  }
+  return shape;
 }
 
-TEST_F(DiscoveryTest, DpRejectsDistanceConstraint) {
-  PreviewDiscoverer discoverer(*prepared_);
-  DiscoveryOptions options;
-  options.size = {2, 6};
-  options.distance = DistanceConstraint::Tight(2);
-  options.algorithm = Algorithm::kDynamicProgramming;
-  const auto preview = discoverer.Discover(options);
-  EXPECT_FALSE(preview.ok());
+TEST_F(DiscoveryTest, DispatchMatchesDirectCalls) {
+  const SizeConstraint size{2, 6};
+  const struct {
+    const char* label;
+    DistanceConstraint distance;
+  } spaces[] = {{"concise", DistanceConstraint::None()},
+                {"tight", DistanceConstraint::Tight(1)},
+                {"diverse", DistanceConstraint::Diverse(2)}};
+  const struct {
+    const char* name;
+    const char* concise;  // resolved name on a concise request
+    const char* bounded;  // resolved name under a distance constraint
+  } names[] = {{"auto", "dp", "apriori"}, {"bf", "bf", "bf"},
+               {"bruteforce", "bf", "bf"}, {"dp", "dp", "dp"},
+               {"apriori", "apriori", "apriori"}, {"beam", "beam", "beam"}};
+  for (const auto& space : spaces) {
+    const bool concise = space.distance.mode == DistanceMode::kNone;
+    for (const auto& name : names) {
+      SCOPED_TRACE(std::string(name.name) + " / " + space.label);
+      const std::string expected = concise ? name.concise : name.bounded;
+      DiscoveryStats stats;
+      std::string resolved;
+      const auto preview = Discover(*prepared_, name.name, size,
+                                    space.distance, &stats, &resolved);
+      EXPECT_EQ(resolved, expected);
+      if (expected == "dp" && !concise) {
+        ASSERT_FALSE(preview.ok());
+        EXPECT_EQ(preview.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(preview.status().message(),
+                  "the dynamic-programming algorithm only solves the concise "
+                  "space; distance constraints lack its optimal substructure");
+        continue;
+      }
+      ASSERT_TRUE(preview.ok()) << preview.status().ToString();
+
+      DiscoveryStats direct_stats;
+      Result<Preview> direct = Status::Internal("unset");
+      if (expected == "bf") {
+        direct = BruteForceDiscover(*prepared_, size, space.distance,
+                                    BruteForceOptions{}, &direct_stats);
+      } else if (expected == "dp") {
+        direct = DynamicProgrammingDiscover(*prepared_, size);
+      } else if (expected == "apriori") {
+        direct = AprioriDiscover(*prepared_, size, space.distance,
+                                 AprioriOptions{}, &direct_stats);
+      } else {
+        direct = BeamSearchDiscover(*prepared_, size, space.distance,
+                                    BeamSearchOptions{}, &direct_stats);
+      }
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      EXPECT_EQ(PreviewShape(*preview), PreviewShape(*direct));
+      EXPECT_EQ(preview->Score(*prepared_), direct->Score(*prepared_));
+      EXPECT_EQ(stats.subsets_enumerated, direct_stats.subsets_enumerated);
+    }
+  }
+}
+
+TEST_F(DiscoveryTest, UnknownAlgorithmListsAvailableNames) {
+  std::string resolved = "untouched";
+  const auto preview = Discover(*prepared_, "quantum", SizeConstraint{2, 6},
+                                DistanceConstraint::None(), nullptr,
+                                &resolved);
+  ASSERT_FALSE(preview.ok());
   EXPECT_EQ(preview.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(DiscoveryTest, AlgorithmNames) {
-  EXPECT_STREQ(AlgorithmName(Algorithm::kAuto), "Auto");
-  EXPECT_STREQ(AlgorithmName(Algorithm::kBruteForce), "BruteForce");
-  EXPECT_STREQ(AlgorithmName(Algorithm::kDynamicProgramming),
-               "DynamicProgramming");
-  EXPECT_STREQ(AlgorithmName(Algorithm::kApriori), "Apriori");
+  EXPECT_NE(preview.status().message().find(
+                "available: auto, bf, dp, apriori, beam"),
+            std::string::npos);
+  EXPECT_EQ(resolved, "untouched");
 }
 
 TEST(DiscoveryEdgeCaseTest, PreviewMayUseFewerThanNAttributes) {
@@ -190,7 +237,7 @@ TEST(DiscoveryEdgeCaseTest, PreviewMayUseFewerThanNAttributes) {
   schema.AddType("OTHER", 1);
   schema.AddEdge("big-rel", 0, 2, 500);
   schema.AddEdge("tiny-rel", 1, 2, 1);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema, MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
   const auto preview =
       DynamicProgrammingDiscover(*prepared, SizeConstraint{1, 5});
@@ -204,7 +251,7 @@ TEST(DiscoveryEdgeCaseTest, ZeroScoreTypesStillFormValidPreviews) {
   schema.AddType("A", 0);  // zero entities → zero coverage score
   schema.AddType("B", 0);
   schema.AddEdge("r", 0, 1, 0);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema, MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
   const auto preview =
       DynamicProgrammingDiscover(*prepared, SizeConstraint{2, 2});

@@ -34,7 +34,7 @@ class EquivalenceTest : public ::testing::TestWithParam<Instance> {
     const Instance& p = GetParam();
     schema_ = testing_util::RandomSchemaGraph(p.seed, p.num_types,
                                               p.num_edges);
-    auto prepared = PreparedSchema::Create(schema_, PreparedSchemaOptions{});
+    auto prepared = PreparedSchema::Create(schema_, MeasureSelection{});
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
   }
@@ -109,9 +109,9 @@ TEST_P(EquivalenceTest, EntropyMeasureAgreesToo) {
   // schema (the random schema has no entity graph, so re-derive one from
   // the paper example sizes by reusing coverage as a stand-in is not
   // possible; instead simply check with random-walk keys × coverage).
-  PreparedSchemaOptions options;
-  options.key_measure = KeyMeasure::kRandomWalk;
-  auto prepared = PreparedSchema::Create(schema_, options);
+  MeasureSelection measures;
+  measures.key = "randomwalk";
+  auto prepared = PreparedSchema::Create(schema_, measures);
   ASSERT_TRUE(prepared.ok());
   const Instance& p = GetParam();
   const SizeConstraint size{p.k, p.n};

@@ -13,7 +13,7 @@ PreparedSchema PreparePaper() {
   auto prepared =
       PreparedSchema::Create(SchemaGraph::FromEntityGraph(
                                  BuildPaperExampleGraph()),
-                             PreparedSchemaOptions{});
+                             MeasureSelection{});
   EXPECT_TRUE(prepared.ok());
   return std::move(prepared).value();
 }
@@ -49,7 +49,7 @@ TEST(FrontierTest, MatchesDpOnEveryCell) {
 
 TEST(FrontierTest, MonotoneInAttributeBudget) {
   const SchemaGraph schema = testing_util::RandomSchemaGraph(42, 10, 20);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema, MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
   auto frontier = ComputeScoreFrontier(*prepared, 5, 10);
   ASSERT_TRUE(frontier.ok());
@@ -71,7 +71,7 @@ TEST(FrontierTest, InfeasibleCellsNegative) {
   tiny.AddType("A", 3);
   tiny.AddType("B", 3);
   tiny.AddEdge("r", 0, 1, 2);
-  auto prepared = PreparedSchema::Create(tiny, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(tiny, MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
   auto frontier = ComputeScoreFrontier(*prepared, 4, 6);
   ASSERT_TRUE(frontier.ok());

@@ -114,7 +114,7 @@ TEST_F(IncrementalTest, RefreshedPreparationMatchesFromScratch) {
   ASSERT_TRUE(stats.Apply(GraphUpdate::AddEntity(film_)).ok());
 
   auto refreshed =
-      PreparedSchema::Create(stats.ToSchemaGraph(), PreparedSchemaOptions{});
+      PreparedSchema::Create(stats.ToSchemaGraph(), MeasureSelection{});
   ASSERT_TRUE(refreshed.ok());
   EXPECT_DOUBLE_EQ(refreshed->KeyScore(film_), 5.0);
   // Genres coverage rose from 5 to 7: it now outranks Actor (6) in FILM's

@@ -14,7 +14,7 @@ class MonotonicityTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
     schema_ = testing_util::RandomSchemaGraph(GetParam(), 10, 20);
-    auto prepared = PreparedSchema::Create(schema_, PreparedSchemaOptions{});
+    auto prepared = PreparedSchema::Create(schema_, MeasureSelection{});
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
   }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "datagen/paper_example.h"
 
 namespace egp {
@@ -13,13 +13,11 @@ class TupleSamplerTest : public ::testing::Test {
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
     auto prepared = PreparedSchema::Create(
-        SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
+        SchemaGraph::FromEntityGraph(graph_), MeasureSelection{});
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
-    PreviewDiscoverer discoverer(*prepared_);
-    DiscoveryOptions options;
-    options.size = {2, 6};
-    auto preview = discoverer.Discover(options);
+    auto preview = Discover(*prepared_, "auto", SizeConstraint{2, 6},
+                            DistanceConstraint::None());
     ASSERT_TRUE(preview.ok());
     preview_ = std::move(preview).value();
   }
@@ -108,7 +106,7 @@ TEST_F(TupleSamplerTest, FailsOnUnderivedSchema) {
   direct.AddType("A", 1);
   direct.AddType("B", 1);
   direct.AddEdge("r", 0, 1, 1);
-  auto prepared = PreparedSchema::Create(direct, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(direct, MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
   Preview preview;
   PreviewTable table;

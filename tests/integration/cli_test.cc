@@ -2,6 +2,7 @@
 // exercised against the shipped sample dataset through a real process.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 
 #include "tests/testing/subprocess.h"
@@ -152,15 +153,53 @@ TEST(CliTest, UnknownMeasureOrAlgorithmValueIsUsageError) {
   const std::string out = TempPath("cli_badvalue_out.txt");
   const std::string err = TempPath("cli_badvalue_err.txt");
   for (const char* args :
-       {"--algo quantum", "--key pagerank", "--nonkey pagerank"}) {
+       {"preview --algo quantum", "preview --key pagerank",
+        "preview --nonkey pagerank", "report --key bogus",
+        "report --nonkey bogus"}) {
+    const std::string command(args);
+    const size_t space = command.find(' ');
     EXPECT_EQ(testing_util::RunCommandCapture(
-                  std::string(EGP_CLI_PATH) + " preview " + EGP_SAMPLE_NT +
-                      " " + args,
+                  std::string(EGP_CLI_PATH) + " " + command.substr(0, space) +
+                      " " + EGP_SAMPLE_NT + command.substr(space),
                   out, err),
               2)
         << args;
     EXPECT_NE(Slurp(err).find("unknown"), std::string::npos) << args;
   }
+}
+
+TEST(CliTest, ReportAcceptsRegistryMeasureNames) {
+  // `report` resolves --key/--nonkey through the same registry check as
+  // `preview`, and its ranking heading names the measure the same way.
+  const std::string out = TempPath("cli_report_measures.md");
+  ASSERT_EQ(RunCli(std::string("report ") + EGP_SAMPLE_NT +
+                       " --k 2 --n 5 --key randomwalk --nonkey entropy",
+                   out),
+            0);
+  EXPECT_NE(Slurp(out).find("## Most important entity types (randomwalk)"),
+            std::string::npos);
+}
+
+TEST(CliTest, NonUtf8NameIsRejectedAtLoad) {
+  // The sample graph with one type name made invalid UTF-8: the load
+  // must fail with a line/column error instead of emitting invalid JSON.
+  std::string text = Slurp(EGP_SAMPLE_NT);
+  for (size_t at = text.find("UNIVERSITY"); at != std::string::npos;
+       at = text.find("UNIVERSITY", at)) {
+    text.replace(at, 10, "UNIV\xff" "ERSITY");
+  }
+  const std::string hostile = TempPath("cli_hostile.nt");
+  std::ofstream(hostile, std::ios::binary) << text;
+  const std::string out = TempPath("cli_hostile_out.txt");
+  const std::string err = TempPath("cli_hostile_err.txt");
+  EXPECT_EQ(testing_util::RunCommandCapture(std::string(EGP_CLI_PATH) +
+                                                " preview " + hostile +
+                                                " --json",
+                                            out, err),
+            1);
+  EXPECT_NE(Slurp(err).find("invalid UTF-8"), std::string::npos)
+      << Slurp(err);
+  EXPECT_TRUE(Slurp(out).empty());
 }
 
 TEST(CliTest, NegativeFlagValueIsParsedAsValue) {

@@ -122,6 +122,19 @@ TEST(GraphIoTest, ErrorMentionsLineNumber) {
   EXPECT_NE(result.status().message().find("line 2"), std::string::npos);
 }
 
+TEST(GraphIoTest, InvalidUtf8NameRejectedWithLineAndColumn) {
+  // A two-byte lead (0xC3) followed by ASCII instead of a continuation
+  // byte, inside a type name.
+  std::stringstream in("type\ta\tT\ntype\tb\tU\xc3Z\n");
+  const auto result = ReadEntityGraph(in);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(result.status().message().find(
+                "line 2, col 9: invalid UTF-8 continuation byte"),
+            std::string::npos)
+      << result.status().message();
+}
+
 TEST(GraphIoTest, FileIoErrors) {
   EXPECT_EQ(ReadEntityGraphFile("/nonexistent/path.egt").status().code(),
             StatusCode::kIOError);

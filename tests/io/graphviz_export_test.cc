@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "datagen/paper_example.h"
 
 namespace egp {
@@ -51,14 +51,12 @@ TEST_F(GraphvizTest, CountsToggle) {
 }
 
 TEST_F(GraphvizTest, PreviewHighlightsKeysAndAttributes) {
-  auto prepared = PreparedSchema::Create(schema_, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema_, MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
-  PreviewDiscoverer discoverer(std::move(prepared).value());
-  DiscoveryOptions options;
-  options.size = {2, 6};
-  auto preview = discoverer.Discover(options);
+  auto preview = Discover(*prepared, "auto", SizeConstraint{2, 6},
+                          DistanceConstraint::None());
   ASSERT_TRUE(preview.ok());
-  const std::string dot = PreviewToDot(discoverer.prepared(), *preview);
+  const std::string dot = PreviewToDot(*prepared, *preview);
   EXPECT_NE(dot.find("fillcolor=lightblue"), std::string::npos);
   EXPECT_NE(dot.find("penwidth=2.5"), std::string::npos);
   // Exactly k key nodes are highlighted.

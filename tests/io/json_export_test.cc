@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "datagen/paper_example.h"
 #include "graph/entity_graph_builder.h"
 
@@ -25,13 +25,11 @@ class JsonExportTest : public ::testing::Test {
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
     auto prepared = PreparedSchema::Create(
-        SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
+        SchemaGraph::FromEntityGraph(graph_), MeasureSelection{});
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
-    PreviewDiscoverer discoverer(*prepared_);
-    DiscoveryOptions options;
-    options.size = {2, 6};
-    auto preview = discoverer.Discover(options);
+    auto preview = Discover(*prepared_, "auto", SizeConstraint{2, 6},
+                            DistanceConstraint::None());
     ASSERT_TRUE(preview.ok());
     preview_ = std::move(preview).value();
   }
@@ -107,7 +105,7 @@ TEST(JsonExportEdgeTest, EscapableEntityNames) {
   auto graph = b.Build();
   ASSERT_TRUE(graph.ok());
   auto prepared = PreparedSchema::Create(
-      SchemaGraph::FromEntityGraph(*graph), PreparedSchemaOptions{});
+      SchemaGraph::FromEntityGraph(*graph), MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
   Preview preview;
   PreviewTable table;

@@ -225,6 +225,24 @@ TEST(NTriplesTest, MalformedLineReportsColumnOffset) {
       << shifted.status().message();
 }
 
+TEST(NTriplesTest, InvalidUtf8NameRejectedWithLineAndColumn) {
+  // A raw 0xFF inside a bracketed name: the loader must refuse it at the
+  // offending byte instead of letting it reach JSON output.
+  std::stringstream in(
+      "<alice> a <PERSON> .\n"
+      "<bob> a <UNIV\xff" "ERSITY> .\n");
+  const auto result = ReadNTriples(in);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(result.status().message().find(
+                "line 2, col 14: invalid UTF-8 lead byte"),
+            std::string::npos)
+      << result.status().message();
+  // A well-formed multi-byte name still loads.
+  std::stringstream ok("<al\xc3\xa9ice> a <PERSON> .\n");
+  EXPECT_TRUE(ReadNTriples(ok).ok());
+}
+
 TEST(NTriplesTest, WriterRoundTripsEscapedNames) {
   std::stringstream in(
       "\"weird > name \\\" with \\\\ stuff\\n\" a T .\n"

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "datagen/paper_example.h"
 
 namespace egp {
@@ -13,13 +13,11 @@ class RendererTest : public ::testing::Test {
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
     auto prepared = PreparedSchema::Create(
-        SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
+        SchemaGraph::FromEntityGraph(graph_), MeasureSelection{});
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
-    PreviewDiscoverer discoverer(*prepared_);
-    DiscoveryOptions options;
-    options.size = {2, 6};
-    auto preview = discoverer.Discover(options);
+    auto preview = Discover(*prepared_, "auto", SizeConstraint{2, 6},
+                            DistanceConstraint::None());
     ASSERT_TRUE(preview.ok());
     TupleSamplerOptions sampler;
     sampler.rows_per_table = 4;
@@ -95,10 +93,8 @@ TEST_F(RendererTest, SampledRowNoteShown) {
   TupleSamplerOptions sampler;
   sampler.rows_per_table = 1;
   auto preview = materialized_;
-  PreviewDiscoverer discoverer(*prepared_);
-  DiscoveryOptions options;
-  options.size = {1, 2};
-  auto p = discoverer.Discover(options);
+  auto p = Discover(*prepared_, "auto", SizeConstraint{1, 2},
+                    DistanceConstraint::None());
   ASSERT_TRUE(p.ok());
   auto mat = MaterializePreview(graph_, *prepared_, *p, sampler);
   ASSERT_TRUE(mat.ok());

@@ -249,12 +249,12 @@ TEST(HttpServerTest, HeadResponsesCarryNoBody) {
   EXPECT_EQ(response.find("\"method\""), std::string::npos);
 }
 
-TEST(HttpServerTest, InlineModeServesWithoutWorkers) {
+TEST(HttpServerTest, SingleWorkerServes) {
   HttpServerOptions options = FastOptions();
-  options.workers = 1;  // connections served on the accept thread
+  options.workers = 1;  // one pool worker beside the event loop
   auto server = StartEcho(options);
   HttpClient client("127.0.0.1", server->port());
-  const auto response = client.Get("/inline");
+  const auto response = client.Get("/single-worker");
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 200);
 }

@@ -1,16 +1,18 @@
 // Engine concurrency: many threads issuing mixed requests against one
 // Engine must produce exactly the results the single-threaded internal
-// layer (PreparedSchema::Create + PreviewDiscoverer) produces, with no
-// data races. Run under ASan/UBSan in the sanitize CI job and under
-// ThreadSanitizer in the tsan job (EGP_SANITIZE=thread).
+// layer (PreparedSchema::Create + the per-algorithm *Discover functions)
+// produces, with no data races. Run under ASan/UBSan in the sanitize CI
+// job and under ThreadSanitizer in the tsan job (EGP_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/apriori.h"
 #include "core/beam_search.h"
-#include "core/discoverer.h"
+#include "core/brute_force.h"
+#include "core/dynamic_programming.h"
 #include "datagen/generator.h"
 #include "datagen/paper_example.h"
 #include "service/engine.h"
@@ -25,36 +27,24 @@ struct RequestCase {
 };
 
 /// Computes the golden score for one request the single-threaded way,
-/// through the internal layer the Engine wraps.
+/// calling the per-algorithm functions directly rather than the dispatch
+/// the Engine uses, so a dispatch bug cannot hide in both sides.
 double GoldenScore(const EntityGraph& graph, const PreviewRequest& request) {
-  PreparedSchemaOptions options;
-  options.key_measure = request.measures.key == "randomwalk"
-                            ? KeyMeasure::kRandomWalk
-                            : KeyMeasure::kCoverage;
-  options.nonkey_measure = request.measures.nonkey == "entropy"
-                               ? NonKeyMeasure::kEntropy
-                               : NonKeyMeasure::kCoverage;
   auto prepared = PreparedSchema::Create(SchemaGraph::FromEntityGraph(graph),
-                                         options, &graph);
+                                         request.measures, &graph);
   EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
-  if (request.algorithm == "beam") {
-    const auto preview = BeamSearchDiscover(*prepared, request.size,
-                                            request.distance);
-    EXPECT_TRUE(preview.ok());
-    return preview->Score(*prepared);
-  }
-  PreviewDiscoverer discoverer(std::move(prepared).value());
-  DiscoveryOptions discovery;
-  discovery.size = request.size;
-  discovery.distance = request.distance;
+  Result<egp::Preview> preview = Status::Internal("unset");
   if (request.algorithm == "bf") {
-    discovery.algorithm = Algorithm::kBruteForce;
-  } else if (request.algorithm == "apriori") {
-    discovery.algorithm = Algorithm::kApriori;
+    preview = BruteForceDiscover(*prepared, request.size, request.distance);
+  } else if (request.algorithm == "beam") {
+    preview = BeamSearchDiscover(*prepared, request.size, request.distance);
+  } else if (request.distance.mode == DistanceMode::kNone) {  // auto: DP
+    preview = DynamicProgrammingDiscover(*prepared, request.size);
+  } else {  // auto: Apriori
+    preview = AprioriDiscover(*prepared, request.size, request.distance);
   }
-  const auto preview = discoverer.Discover(discovery);
   EXPECT_TRUE(preview.ok()) << preview.status().ToString();
-  return preview->Score(discoverer.prepared());
+  return preview->Score(*prepared);
 }
 
 /// The mixed request matrix: sizes × distance constraints × measures ×

@@ -142,18 +142,16 @@ TEST(ScoringRegistryTest, GlobalRegistrationFlowsIntoPreparedSchema) {
   EXPECT_EQ(invalid.status().code(), StatusCode::kInternal);
 }
 
-TEST(ScoringRegistryTest, EnumCreatePathUsesRegistryNames) {
+TEST(ScoringRegistryTest, PreparedSchemaRecordsItsMeasureNames) {
   const EntityGraph graph = BuildPaperExampleGraph();
   const SchemaGraph schema = SchemaGraph::FromEntityGraph(graph);
-  PreparedSchemaOptions options;
-  options.key_measure = KeyMeasure::kRandomWalk;
-  options.nonkey_measure = NonKeyMeasure::kEntropy;
-  const auto prepared = PreparedSchema::Create(schema, options, &graph);
+  MeasureSelection measures;
+  measures.key = "randomwalk";
+  measures.nonkey = "entropy";
+  const auto prepared = PreparedSchema::Create(schema, measures, &graph);
   ASSERT_TRUE(prepared.ok());
   EXPECT_EQ(prepared->measures().key, "randomwalk");
   EXPECT_EQ(prepared->measures().nonkey, "entropy");
-  EXPECT_EQ(prepared->options().key_measure, KeyMeasure::kRandomWalk);
-  EXPECT_EQ(prepared->options().nonkey_measure, NonKeyMeasure::kEntropy);
 }
 
 }  // namespace

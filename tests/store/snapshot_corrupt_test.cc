@@ -322,6 +322,25 @@ TEST(SnapshotCorruptTest, HostileStructuralEditsRejected) {
     EXPECT_NE(result.status().message().find("duplicate"),
               std::string::npos);
   }
+  // A name that is not valid UTF-8 (entity "b" becomes the lone byte
+  // 0xFF): every JSON body echoing it would be invalid, so the reader
+  // must refuse it and name the section.
+  {
+    const SectionEntry names = FindSection(valid, kSectionEntityNames);
+    auto bytes = ResealedPatch(valid, [&](std::vector<uint8_t>& b) {
+      const size_t blob = names.offset + 8 * (1 + 4);
+      b[blob + 1] = 0xFF;
+    });
+    for (const bool verify : {true, false}) {
+      const auto result = Open(bytes, verify);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(result.status().message().find(
+                    "entity names: string 1 is not valid UTF-8"),
+                std::string::npos)
+          << result.status().message();
+    }
+  }
 }
 
 TEST(SnapshotCorruptTest, FileLevelErrors) {

@@ -78,7 +78,7 @@ const char kUsage[] =
     "  --host H              bind address (default 127.0.0.1)\n"
     "  --port P              TCP port; 0 picks an ephemeral one\n"
     "                        (default 8080)\n"
-    "  --workers N           connection worker threads (default\n"
+    "  --workers N           handler worker threads (default\n"
     "                        max(2, hardware))\n"
     "  --engine-threads N    threads per PreparedSchema build (default\n"
     "                        hardware; 1 = serial)\n"
