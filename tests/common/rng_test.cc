@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 namespace egp {
 namespace {
@@ -131,6 +132,64 @@ TEST(RngTest, SampleIndicesWhenKExceedsN) {
   Rng rng(43);
   const auto picked = rng.SampleIndices(4, 10);
   EXPECT_EQ(picked.size(), 4u);
+}
+
+TEST(RngTest, NextBoundedStreamIsPinned) {
+  // First draws per bound, and the raw Next() that follows them (which
+  // pins how many draws rejection consumed), from seed 2026. 2^63+1
+  // rejects about half its draws, so its slow path is covered.
+  struct Case {
+    uint64_t bound;
+    uint64_t draws[6];
+    uint64_t next;
+  };
+  const Case cases[] = {
+      {1ull, {0ull, 0ull, 0ull, 0ull, 0ull, 0ull}, 15379287288619705772ull},
+      {7ull, {4ull, 3ull, 2ull, 1ull, 4ull, 3ull}, 15379287288619705772ull},
+      {4294967297ull,
+       {2612567229ull, 617472324ull, 3449569460ull, 2718796380ull,
+        4047548242ull, 794935205ull},
+       15379287288619705772ull},
+      {9223372036854775809ull,
+       {1360106162197409300ull, 5764781416019451609ull,
+        7262015536237995777ull, 5756035153803754185ull,
+        5327109252069683527ull, 6155915251764929963ull},
+       15290312516027121239ull},
+      {18446744073709551615ull,
+       {10583478199052185109ull, 5232962402658359512ull,
+        14988153452874227418ull, 16485387573092771586ull,
+        14979407190658529994ull, 14550481288924459336ull},
+       15379287288619705772ull},
+  };
+  for (const Case& c : cases) {
+    Rng rng(2026);
+    for (uint64_t draw : c.draws) {
+      EXPECT_EQ(rng.NextBounded(c.bound), draw) << "bound " << c.bound;
+    }
+    EXPECT_EQ(rng.Next(), c.next) << "bound " << c.bound;
+  }
+}
+
+TEST(RngTest, SampleIndicesStreamIsPinned) {
+  struct Case {
+    size_t n;
+    size_t k;
+    std::vector<size_t> picked;
+    uint64_t next;
+  };
+  const Case cases[] = {
+      {7, 3, {5, 6, 4}, 14979407190658529994ull},
+      {1000, 5, {124, 319, 196, 173, 709}, 11765025426974196178ull},
+      {100000,
+       8,
+       {80614, 5267, 75957, 5527, 75408, 41654, 56364, 43524},
+       2372290106063226574ull},
+  };
+  for (const Case& c : cases) {
+    Rng rng(2026);
+    EXPECT_EQ(rng.SampleIndices(c.n, c.k), c.picked) << "n " << c.n;
+    EXPECT_EQ(rng.Next(), c.next) << "n " << c.n;
+  }
 }
 
 TEST(RngTest, ForkProducesIndependentStream) {

@@ -1,0 +1,213 @@
+// Byte-identity gate for the JSON the preview server renders.
+//
+// Every body below goes through the real request path
+// (PreviewService::Handle: parse, engine, sampling, render) and is
+// compared byte for byte against testdata/preview_golden.jsonl, with the
+// wall-clock "timings" member stripped. The matrix covers the sample
+// graph and a generated film graph across {dp, apriori, beam} x
+// {no distance, tight 2} x rows {0, 3} x {random, frequency} x
+// merge {off, on}, a graph whose names need escaping, suggest and error
+// bodies, and one access-log line.
+//
+// A renderer change that alters a single byte fails here. Regenerate the
+// file only for an intended output change:
+//   EGP_UPDATE_GOLDEN=1 ./io_preview_golden_test
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "datagen/generator.h"
+#include "graph/entity_graph_builder.h"
+#include "io/ntriples.h"
+#include "server/access_log.h"
+#include "server/api.h"
+#include "server/http.h"
+
+namespace egp {
+namespace {
+
+using std::string_view_literals::operator""sv;
+
+const char kGoldenPath[] = EGP_TESTDATA_DIR "/preview_golden.jsonl";
+
+/// Names that exercise every escape class: quote, backslash, named and
+/// \u00XX control characters, DEL and multi-byte UTF-8.
+EntityGraph BuildEscapeGraph() {
+  EntityGraphBuilder b;
+  const TypeId film = b.AddEntityType("FILM \"quoted\"");
+  const TypeId person = b.AddEntityType("PERSON\\path");
+  const TypeId place = b.AddEntityType("PLACE \xc3\xa9t\xc3\xa9");
+  const RelTypeId directed =
+      b.AddRelationshipType("directed\tby", film, person);
+  const RelTypeId shot = b.AddRelationshipType("shot\x01in\x1f", film, place);
+  const RelTypeId born = b.AddRelationshipType("born\x7fin", person, place);
+  const char* films[] = {"Am\xc3\xa9lie", "line\nbreak", "cr\rlf",
+                         "\xe6\x97\xa5\xe6\x9c\xac", "bell\x07\x08\x0c"};
+  const char* people[] = {"Jean \"JP\" Jeunet", "back\\slash", "tab\there"};
+  const char* places[] = {"Paris", "\xf0\x9f\x8e\xac studio"};
+  std::vector<EntityId> f, p, l;
+  for (const char* name : films) {
+    f.push_back(b.AddEntity(name));
+    b.AddEntityToType(f.back(), film);
+  }
+  for (const char* name : people) {
+    p.push_back(b.AddEntity(name));
+    b.AddEntityToType(p.back(), person);
+  }
+  for (const char* name : places) {
+    l.push_back(b.AddEntity(name));
+    b.AddEntityToType(l.back(), place);
+  }
+  for (size_t i = 0; i < f.size(); ++i) {
+    EXPECT_TRUE(b.AddEdge(f[i], directed, p[i % p.size()]).ok());
+    if (i % 2 == 0) {
+      EXPECT_TRUE(b.AddEdge(f[i], shot, l[i % l.size()]).ok());
+    }
+  }
+  for (size_t i = 0; i < p.size(); ++i) {
+    EXPECT_TRUE(b.AddEdge(p[i], born, l[i % l.size()]).ok());
+  }
+  auto graph = b.Build();
+  EXPECT_TRUE(graph.ok()) << graph.status().ToString();
+  return std::move(graph).value();
+}
+
+PreviewService MakeService() {
+  std::vector<std::pair<std::string, Engine>> engines;
+  auto sample = ReadNTriplesFile(EGP_SAMPLE_NT);
+  EXPECT_TRUE(sample.ok()) << sample.status().ToString();
+  engines.emplace_back("sample", Engine::FromGraph(std::move(sample).value()));
+  GeneratorOptions options;
+  options.scale = 0.01;
+  options.seed = 7;
+  auto film = GenerateDomainByName("film", options);
+  EXPECT_TRUE(film.ok()) << film.status().ToString();
+  engines.emplace_back("film", Engine::FromGraph(std::move(film->graph)));
+  engines.emplace_back("escapes", Engine::FromGraph(BuildEscapeGraph()));
+  auto catalog = DatasetCatalog::FromEngines(std::move(engines));
+  EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
+  return PreviewService(std::move(catalog).value(), "golden");
+}
+
+/// Drops the top-level "timings" member, the only wall-clock output of a
+/// preview body. It is always the last member.
+std::string StripTimings(const std::string& body) {
+  const size_t at = body.find(",\"timings\":");
+  if (at == std::string::npos) return body;
+  return body.substr(0, at) + "}";
+}
+
+/// One golden line: {"case":...,"status":...,"body":<body>}.
+std::string Line(const std::string& name, int status,
+                 const std::string& body) {
+  return "{\"case\":\"" + name + "\",\"status\":" + std::to_string(status) +
+         ",\"body\":" + body + "}";
+}
+
+std::vector<std::string> RenderGoldenLines() {
+  PreviewService service = MakeService();
+  std::vector<std::string> lines;
+  const auto serve = [&](const std::string& name, const char* method,
+                         const char* target, const std::string& body) {
+    HttpRequest request;
+    request.method = method;
+    request.target = target;
+    request.body = body;
+    const HttpResponse response = service.Handle(request);
+    lines.push_back(Line(name, response.status, StripTimings(response.body)));
+  };
+
+  for (const char* dataset : {"sample", "film"}) {
+    for (const char* algorithm : {"dp", "apriori", "beam"}) {
+      for (const bool tight : {false, true}) {
+        for (const int rows : {0, 3}) {
+          for (const char* strategy : {"random", "frequency"}) {
+            for (const bool merge : {false, true}) {
+              std::string body = std::string("{\"dataset\":\"") + dataset +
+                                 "\",\"k\":3,\"n\":8,\"algorithm\":\"" +
+                                 algorithm + "\"";
+              if (tight) body += ",\"tight\":2";
+              body += ",\"sample\":{\"rows\":" + std::to_string(rows) +
+                      ",\"seed\":7,\"strategy\":\"" + strategy +
+                      "\",\"mergeMultiway\":" + (merge ? "true" : "false") +
+                      "}}";
+              std::string name = std::string(dataset) + " " + algorithm +
+                                 (tight ? " tight2" : " none") + " rows" +
+                                 std::to_string(rows) + " " + strategy +
+                                 (merge ? " merge" : " nomerge");
+              serve(name, "POST", "/v1/preview", body);
+            }
+          }
+        }
+      }
+    }
+  }
+  for (const char* strategy : {"random", "frequency"}) {
+    serve(std::string("escapes ") + strategy, "POST", "/v1/preview",
+          std::string("{\"dataset\":\"escapes\",\"k\":3,\"n\":6,\"sample\":"
+                      "{\"rows\":3,\"seed\":3,\"mergeMultiway\":true,"
+                      "\"strategy\":\"") +
+              strategy + "\"}}");
+  }
+  serve("suggest film", "POST", "/v1/suggest",
+        "{\"dataset\":\"film\",\"budget\":{\"widthChars\":100,"
+        "\"heightRows\":30}}");
+  serve("error unknown dataset", "POST", "/v1/preview",
+        "{\"dataset\":\"no \\\"such\\\"\\u0001 set\"}");
+  serve("error malformed body", "POST", "/v1/preview", "{\"k\":");
+  lines.push_back(Line("error body", 418,
+                       JsonErrorBody(418, "tea\0\x01\"pot\"\\\n\xc3\xa9"sv)));
+
+  RequestTrace trace;
+  trace.id = "0123456789abcdef";
+  trace.method = "POST";
+  trace.path = "/v1/preview?q=\"x\"";
+  trace.dataset = "film";
+  trace.outcome = "error";
+  trace.status = 400;
+  trace.cache_hit = true;
+  trace.bytes_in = 123;
+  trace.bytes_out = 4567;
+  trace.read_seconds = 1.25e-5;
+  trace.queue_seconds = 0.0;
+  trace.admission_seconds = 3.0000001e-4;
+  trace.handler_seconds = 0.00123456789;
+  trace.serialize_seconds = 7e-9;
+  trace.flush_seconds = 2.5e-3;
+  trace.total_seconds = 12.345678901;
+  trace.prepare_seconds = 1e-7;
+  trace.discover_seconds = 0.0009876543;
+  trace.sample_seconds = 123456.789;
+  trace.prepare_key_seconds = 1.0 / 3.0;
+  trace.prepare_nonkey_seconds = 2.0 / 3.0;
+  trace.prepare_distance_seconds = 1e-300;
+  trace.prepare_candidate_sort_seconds = 4.2;
+  lines.push_back(
+      Line("access log line", 400, RequestTraceToJson(trace, "warning")));
+  return lines;
+}
+
+TEST(PreviewGoldenTest, BodiesMatchCheckedInGolden) {
+  const std::vector<std::string> lines = RenderGoldenLines();
+  if (std::getenv("EGP_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(kGoldenPath, std::ios::binary | std::ios::trunc);
+    for (const std::string& line : lines) out << line << '\n';
+    ASSERT_TRUE(out.good()) << kGoldenPath;
+    GTEST_SKIP() << "rewrote " << kGoldenPath;
+  }
+  std::ifstream in(kGoldenPath, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << kGoldenPath;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) golden.push_back(line);
+  ASSERT_EQ(golden.size(), lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], golden[i]) << "golden line " << i + 1;
+  }
+}
+
+}  // namespace
+}  // namespace egp
