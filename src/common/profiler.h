@@ -29,7 +29,8 @@
 //   prepare;egp::Engine::PreparedInternal;egp::ScoreEntropy 127
 //
 // with the phase name as the synthetic root frame, so flamegraphs split
-// CPU by request phase (read/admission/handler/prepare/discover/sample).
+// CPU by request phase (read/admission/handler/prepare/discover/sample/
+// render/serialize/flush).
 #ifndef EGP_COMMON_PROFILER_H_
 #define EGP_COMMON_PROFILER_H_
 

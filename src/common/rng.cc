@@ -35,11 +35,17 @@ uint64_t Rng::Next() {
 
 uint64_t Rng::NextBounded(uint64_t bound) {
   EGP_CHECK(bound > 0) << "NextBounded(0)";
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = -bound % bound;
+  return NextBoundedPositive(bound);
+}
+
+uint64_t Rng::NextBoundedPositive(uint64_t bound) {
+  // Rejection sampling to avoid modulo bias: a draw below the threshold
+  // 2^64 mod bound is redrawn. The threshold is below bound, so a draw at
+  // or above bound is always kept and the threshold's division is paid
+  // only for the rare draw below bound.
   for (;;) {
-    uint64_t r = Next();
-    if (r >= threshold) return r % bound;
+    const uint64_t r = Next();
+    if (r >= bound || r >= -bound % bound) return r % bound;
   }
 }
 
@@ -104,7 +110,7 @@ std::vector<size_t> Rng::SampleIndices(size_t n, size_t k) {
   std::vector<size_t> reservoir(k);
   for (size_t i = 0; i < k; ++i) reservoir[i] = i;
   for (size_t i = k; i < n; ++i) {
-    size_t j = NextBounded(i + 1);
+    size_t j = NextBoundedPositive(i + 1);
     if (j < k) reservoir[j] = i;
   }
   return reservoir;

@@ -59,6 +59,10 @@ class Rng {
   Rng Fork();
 
  private:
+  /// NextBounded without the bound check, so the reservoir loop (whose
+  /// bounds are always positive) inlines it.
+  uint64_t NextBoundedPositive(uint64_t bound);
+
   uint64_t state_[4];
   bool have_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

@@ -45,6 +45,8 @@ const char* TracePhaseName(TracePhase phase) {
       return "discover";
     case TracePhase::kSample:
       return "sample";
+    case TracePhase::kRender:
+      return "render";
     case TracePhase::kSerialize:
       return "serialize";
     case TracePhase::kFlush:

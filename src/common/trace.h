@@ -86,7 +86,9 @@ RequestTrace* CurrentRequestTrace();
 /// handler to tag each CPU sample, so flamegraphs split by phase.
 ///
 /// kIdle is the resting state (event-loop wait, pool queue wait, any
-/// thread outside a phase scope).
+/// thread outside a phase scope). kRender (response JSON rendering
+/// inside the handler) is a profiler phase only; its time stays in the
+/// trace's handler_seconds.
 enum class TracePhase : uint8_t {
   kIdle = 0,
   kRead,
@@ -95,10 +97,11 @@ enum class TracePhase : uint8_t {
   kPrepare,
   kDiscover,
   kSample,
+  kRender,
   kSerialize,
   kFlush,
 };
-inline constexpr int kTracePhaseCount = 9;
+inline constexpr int kTracePhaseCount = 10;
 
 /// Stable lowercase name ("idle", "read", ...) for folded-stack output
 /// and tests. Out-of-range values map to "idle".
@@ -110,7 +113,7 @@ const char* TracePhaseName(TracePhase phase);
 TracePhase CurrentTracePhase();
 
 /// RAII scope setting this thread's phase; restores the previous phase
-/// (phases nest — prepare/discover/sample run inside handler).
+/// (phases nest — prepare/discover/sample/render run inside handler).
 class ScopedTracePhase {
  public:
   explicit ScopedTracePhase(TracePhase phase);

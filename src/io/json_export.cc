@@ -1,121 +1,74 @@
 #include "io/json_export.h"
 
-#include <sstream>
-
-#include "common/strings.h"
-
 namespace egp {
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
+void WritePreviewJson(const PreparedSchema& prepared, const Preview& preview,
+                      JsonWriter* out) {
+  const SchemaGraph& schema = prepared.schema();
+  out->BeginObject().Key("score").Number(preview.Score(prepared));
+  out->Key("tables").BeginArray();
+  for (const PreviewTable& table : preview.tables) {
+    out->BeginObject().Key("key").String(schema.TypeName(table.key));
+    out->Key("keyScore").Number(prepared.KeyScore(table.key));
+    out->Key("nonkeys").BeginArray();
+    for (const NonKeyCandidate& c : table.nonkeys) {
+      const SchemaEdge& e = schema.Edge(c.schema_edge);
+      const TypeId other = c.direction == Direction::kOutgoing ? e.dst : e.src;
+      out->BeginObject().Key("name").String(schema.SurfaceName(e));
+      out->Key("direction").String(DirectionName(c.direction));
+      out->Key("target").String(schema.TypeName(other));
+      out->Key("score").Number(c.score).EndObject();
     }
+    out->EndArray().EndObject();
   }
-  return out;
+  out->EndArray().EndObject();
 }
-
-namespace {
-
-std::string Quoted(std::string_view text) {
-  return "\"" + JsonEscape(text) + "\"";
-}
-
-std::string Number(double value) {
-  // Shortest form that round-trips typical scores; trailing zeros kept
-  // minimal for stable golden tests.
-  std::string out = StrFormat("%.10g", value);
-  return out;
-}
-
-}  // namespace
 
 std::string PreviewToJson(const PreparedSchema& prepared,
                           const Preview& preview) {
-  const SchemaGraph& schema = prepared.schema();
-  std::ostringstream out;
-  out << "{\"score\":" << Number(preview.Score(prepared)) << ",\"tables\":[";
-  for (size_t t = 0; t < preview.tables.size(); ++t) {
-    const PreviewTable& table = preview.tables[t];
-    if (t > 0) out << ",";
-    out << "{\"key\":" << Quoted(schema.TypeName(table.key))
-        << ",\"keyScore\":" << Number(prepared.KeyScore(table.key))
-        << ",\"nonkeys\":[";
-    for (size_t a = 0; a < table.nonkeys.size(); ++a) {
-      const NonKeyCandidate& c = table.nonkeys[a];
-      const SchemaEdge& e = schema.Edge(c.schema_edge);
-      const TypeId other = c.direction == Direction::kOutgoing ? e.dst : e.src;
-      if (a > 0) out << ",";
-      out << "{\"name\":" << Quoted(schema.SurfaceName(e))
-          << ",\"direction\":" << Quoted(DirectionName(c.direction))
-          << ",\"target\":" << Quoted(schema.TypeName(other))
-          << ",\"score\":" << Number(c.score) << "}";
+  std::string out;
+  JsonWriter writer(&out);
+  WritePreviewJson(prepared, preview, &writer);
+  return out;
+}
+
+void WriteMaterializedPreviewJson(const EntityGraph& graph,
+                                  const MaterializedPreview& preview,
+                                  JsonWriter* out) {
+  out->BeginObject().Key("tables").BeginArray();
+  for (const MaterializedTable& table : preview.tables) {
+    out->BeginObject().Key("key").String(table.key_name);
+    out->Key("totalTuples").Uint(table.total_tuples);
+    out->Key("columns").BeginArray();
+    for (const MaterializedColumn& column : table.columns) {
+      out->BeginObject().Key("name").String(column.name);
+      out->Key("direction").String(DirectionName(column.direction));
+      out->Key("target").String(column.target).EndObject();
     }
-    out << "]}";
+    out->EndArray().Key("rows").BeginArray();
+    for (const MaterializedRow& row : table.rows) {
+      out->BeginObject().Key("key").String(graph.EntityName(row.key));
+      out->Key("cells").BeginArray();
+      for (const MaterializedCell& cell : row.cells) {
+        out->BeginArray();
+        for (const EntityId value : cell.values) {
+          out->String(graph.EntityName(value));
+        }
+        out->EndArray();
+      }
+      out->EndArray().EndObject();
+    }
+    out->EndArray().EndObject();
   }
-  out << "]}";
-  return out.str();
+  out->EndArray().EndObject();
 }
 
 std::string MaterializedPreviewToJson(const EntityGraph& graph,
                                       const MaterializedPreview& preview) {
-  std::ostringstream out;
-  out << "{\"tables\":[";
-  for (size_t t = 0; t < preview.tables.size(); ++t) {
-    const MaterializedTable& table = preview.tables[t];
-    if (t > 0) out << ",";
-    out << "{\"key\":" << Quoted(table.key_name) << ",\"totalTuples\":"
-        << table.total_tuples << ",\"columns\":[";
-    for (size_t c = 0; c < table.columns.size(); ++c) {
-      const MaterializedColumn& column = table.columns[c];
-      if (c > 0) out << ",";
-      out << "{\"name\":" << Quoted(column.name)
-          << ",\"direction\":" << Quoted(DirectionName(column.direction))
-          << ",\"target\":" << Quoted(column.target) << "}";
-    }
-    out << "],\"rows\":[";
-    for (size_t r = 0; r < table.rows.size(); ++r) {
-      const MaterializedRow& row = table.rows[r];
-      if (r > 0) out << ",";
-      out << "{\"key\":" << Quoted(graph.EntityName(row.key))
-          << ",\"cells\":[";
-      for (size_t c = 0; c < row.cells.size(); ++c) {
-        if (c > 0) out << ",";
-        out << "[";
-        for (size_t v = 0; v < row.cells[c].values.size(); ++v) {
-          if (v > 0) out << ",";
-          out << Quoted(graph.EntityName(row.cells[c].values[v]));
-        }
-        out << "]";
-      }
-      out << "]}";
-    }
-    out << "]}";
-  }
-  out << "]}";
-  return out.str();
+  std::string out;
+  JsonWriter writer(&out);
+  WriteMaterializedPreviewJson(graph, preview, &writer);
+  return out;
 }
 
 }  // namespace egp

@@ -2,8 +2,11 @@
 //
 // Two levels of detail: the schema-level preview (key + attribute
 // metadata and scores) and the materialized preview (with sampled
-// tuples). Output is deterministic, minified JSON with full string
-// escaping; no external JSON library is required.
+// tuples). Output is deterministic, minified JSON rendered through the
+// one JSON writer (io/json_writer.h), which also provides JsonEscape;
+// no external JSON library is required. The Write* forms append into a
+// caller's writer, so a response embedding a preview renders into one
+// buffer; the *ToJson forms return a standalone document.
 #ifndef EGP_IO_JSON_EXPORT_H_
 #define EGP_IO_JSON_EXPORT_H_
 
@@ -12,21 +15,24 @@
 #include "core/preview.h"
 #include "core/tuple_sampler.h"
 #include "graph/entity_graph.h"
+#include "io/json_writer.h"
 
 namespace egp {
-
-/// Escapes a string for inclusion inside JSON quotes.
-std::string JsonEscape(std::string_view text);
 
 /// {"score": ..., "tables": [{"key": ..., "keyScore": ...,
 ///   "nonkeys": [{"name": ..., "direction": "out", "target": ...,
 ///                "score": ...}, ...]}, ...]}
+void WritePreviewJson(const PreparedSchema& prepared, const Preview& preview,
+                      JsonWriter* out);
 std::string PreviewToJson(const PreparedSchema& prepared,
                           const Preview& preview);
 
-/// Adds sampled rows: {"tables": [{"key": ..., "columns": [...],
-///   "totalTuples": ..., "rows": [{"key": ..., "cells": [[...], ...]},
+/// Adds sampled rows: {"tables": [{"key": ..., "totalTuples": ...,
+///   "columns": [...], "rows": [{"key": ..., "cells": [[...], ...]},
 ///   ...]}]}
+void WriteMaterializedPreviewJson(const EntityGraph& graph,
+                                  const MaterializedPreview& preview,
+                                  JsonWriter* out);
 std::string MaterializedPreviewToJson(const EntityGraph& graph,
                                       const MaterializedPreview& preview);
 

@@ -4,51 +4,54 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "common/strings.h"
-#include "io/json_export.h"
 
 namespace egp {
 namespace {
 
-std::string Quoted(std::string_view text) {
-  return "\"" + JsonEscape(text) + "\"";
-}
-
 /// Milliseconds with enough digits for sub-microsecond phases.
-std::string Millis(double seconds) {
-  return StrFormat("%.6g", seconds * 1e3);
+void Millis(JsonWriter* out, std::string_view key, double seconds) {
+  out->Key(key).Number(seconds * 1e3, 6);
 }
 
 }  // namespace
 
+void WriteRequestTraceJson(const RequestTrace& trace, std::string_view level,
+                           JsonWriter* out) {
+  out->BeginObject().Key("id").String(trace.id);
+  if (!level.empty()) out->Key("level").String(level);
+  out->Key("method").String(trace.method);
+  out->Key("path").String(trace.path);
+  out->Key("dataset").String(trace.dataset);
+  out->Key("status").Int(trace.status);
+  out->Key("outcome").String(trace.outcome);
+  out->Key("cacheHit").Bool(trace.cache_hit);
+  out->Key("bytesIn").Uint(trace.bytes_in);
+  out->Key("bytesOut").Uint(trace.bytes_out);
+  Millis(out, "totalMs", trace.total_seconds);
+  out->Key("phases").BeginObject();
+  Millis(out, "readMs", trace.read_seconds);
+  Millis(out, "queueMs", trace.queue_seconds);
+  Millis(out, "admissionMs", trace.admission_seconds);
+  Millis(out, "handlerMs", trace.handler_seconds);
+  Millis(out, "serializeMs", trace.serialize_seconds);
+  Millis(out, "flushMs", trace.flush_seconds);
+  out->EndObject().Key("engine").BeginObject();
+  Millis(out, "prepareMs", trace.prepare_seconds);
+  Millis(out, "discoverMs", trace.discover_seconds);
+  Millis(out, "sampleMs", trace.sample_seconds);
+  out->Key("prepare").BeginObject();
+  Millis(out, "keyMs", trace.prepare_key_seconds);
+  Millis(out, "nonkeyMs", trace.prepare_nonkey_seconds);
+  Millis(out, "distanceMs", trace.prepare_distance_seconds);
+  Millis(out, "candidateSortMs", trace.prepare_candidate_sort_seconds);
+  out->EndObject().EndObject().EndObject();
+}
+
 std::string RequestTraceToJson(const RequestTrace& trace,
                                std::string_view level) {
-  std::string out = "{\"id\":" + Quoted(trace.id);
-  if (!level.empty()) out += ",\"level\":" + Quoted(level);
-  out += ",\"method\":" + Quoted(trace.method);
-  out += ",\"path\":" + Quoted(trace.path);
-  out += ",\"dataset\":" + Quoted(trace.dataset);
-  out += ",\"status\":" + std::to_string(trace.status);
-  out += ",\"outcome\":" + Quoted(trace.outcome);
-  out += ",\"cacheHit\":";
-  out += trace.cache_hit ? "true" : "false";
-  out += ",\"bytesIn\":" + std::to_string(trace.bytes_in);
-  out += ",\"bytesOut\":" + std::to_string(trace.bytes_out);
-  out += ",\"totalMs\":" + Millis(trace.total_seconds);
-  out += ",\"phases\":{\"readMs\":" + Millis(trace.read_seconds);
-  out += ",\"queueMs\":" + Millis(trace.queue_seconds);
-  out += ",\"admissionMs\":" + Millis(trace.admission_seconds);
-  out += ",\"handlerMs\":" + Millis(trace.handler_seconds);
-  out += ",\"serializeMs\":" + Millis(trace.serialize_seconds);
-  out += ",\"flushMs\":" + Millis(trace.flush_seconds) + "}";
-  out += ",\"engine\":{\"prepareMs\":" + Millis(trace.prepare_seconds);
-  out += ",\"discoverMs\":" + Millis(trace.discover_seconds);
-  out += ",\"sampleMs\":" + Millis(trace.sample_seconds);
-  out += ",\"prepare\":{\"keyMs\":" + Millis(trace.prepare_key_seconds);
-  out += ",\"nonkeyMs\":" + Millis(trace.prepare_nonkey_seconds);
-  out += ",\"distanceMs\":" + Millis(trace.prepare_distance_seconds);
-  out += ",\"candidateSortMs\":" +
-         Millis(trace.prepare_candidate_sort_seconds) + "}}}";
+  std::string out;
+  JsonWriter writer(&out);
+  WriteRequestTraceJson(trace, level, &writer);
   return out;
 }
 

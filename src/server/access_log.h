@@ -20,12 +20,16 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/trace.h"
+#include "io/json_writer.h"
 
 namespace egp {
 
 /// The access-log JSON document for one trace (no trailing newline).
 /// `level` ("info"/"warning"), when non-empty, is included as a field —
 /// the access log sets it; the flight-recorder endpoint leaves it out.
+/// The Write form appends it as the writer's next value.
+void WriteRequestTraceJson(const RequestTrace& trace, std::string_view level,
+                           JsonWriter* out);
 std::string RequestTraceToJson(const RequestTrace& trace,
                                std::string_view level = {});
 

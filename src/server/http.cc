@@ -4,7 +4,7 @@
 #include <cctype>
 
 #include "common/strings.h"
-#include "io/json_export.h"
+#include "io/json_writer.h"
 
 namespace egp {
 namespace {
@@ -51,11 +51,11 @@ std::string_view TrimOws(std::string_view s) {
 }  // namespace
 
 std::string JsonErrorBody(int status, std::string_view message) {
-  std::string body = "{\"error\":{\"status\":";
-  body += std::to_string(status);
-  body += ",\"message\":\"";
-  body += JsonEscape(message);
-  body += "\"}}";
+  std::string body;
+  JsonWriter json(&body);
+  json.BeginObject().Key("error").BeginObject();
+  json.Key("status").Int(status).Key("message").String(message);
+  json.EndObject().EndObject();
   return body;
 }
 

@@ -10,6 +10,7 @@
 #include "common/profiler.h"
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -106,6 +107,18 @@ TEST(ProfilerTest, CollectCapturesBusyThreadWithPhaseRoot) {
   }
 }
 
+TEST(ProfilerTest, RenderPhaseIsItsOwnRoot) {
+  // JSON rendering runs inside the handler but is billed to "render",
+  // not "handler".
+  BusyThread busy(TracePhase::kRender);
+  const auto result = Profiler::Global().Collect(0.2, 500);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_NE(result->folded.find("render;"), std::string::npos)
+      << result->folded;
+  EXPECT_EQ(result->folded.find("handler;"), std::string::npos)
+      << result->folded;
+}
+
 TEST(ProfilerTest, SecondStartWhileActiveIsUnavailable) {
   BusyThread busy(TracePhase::kHandler);
   ASSERT_TRUE(Profiler::Global().Start(99).ok());
@@ -162,6 +175,20 @@ TEST(TracePhaseTest, PhaseNamesAreStable) {
   EXPECT_STREQ(TracePhaseName(TracePhase::kPrepare), "prepare");
   EXPECT_STREQ(TracePhaseName(TracePhase::kDiscover), "discover");
   EXPECT_STREQ(TracePhaseName(TracePhase::kFlush), "flush");
+  EXPECT_STREQ(TracePhaseName(TracePhase::kRender), "render");
+}
+
+TEST(TracePhaseTest, EveryPhaseHasADistinctName) {
+  std::set<std::string> names;
+  for (int i = 0; i < kTracePhaseCount; ++i) {
+    names.insert(TracePhaseName(static_cast<TracePhase>(i)));
+  }
+  EXPECT_EQ(names.size(), static_cast<size_t>(kTracePhaseCount));
+  EXPECT_EQ(kTracePhaseCount, 10);
+  EXPECT_EQ(static_cast<int>(TracePhase::kFlush) + 1, kTracePhaseCount);
+  // Out of range maps to idle.
+  EXPECT_STREQ(TracePhaseName(static_cast<TracePhase>(kTracePhaseCount)),
+               "idle");
 }
 
 }  // namespace

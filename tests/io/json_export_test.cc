@@ -9,17 +9,6 @@
 namespace egp {
 namespace {
 
-TEST(JsonEscapeTest, PassthroughPlainText) {
-  EXPECT_EQ(JsonEscape("Men in Black"), "Men in Black");
-}
-
-TEST(JsonEscapeTest, EscapesSpecials) {
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(JsonEscape(std::string_view("\x01", 1)), "\\u0001");
-}
-
 class JsonExportTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -3,7 +3,7 @@
 
 Scope: first-party C++ under src/, tools/, bench/ (tests are exempt —
 they deliberately poke at internals, e.g. raw sockets for misbehaving
-clients). Six rule families, each born from a real bug class here:
+clients). Seven rule families, each born from a real bug class here:
 
   blocking-io   The event-loop serving core must never block on a
                 socket. The convenience blocking wrappers (SendAll,
@@ -35,6 +35,20 @@ clients). Six rule families, each born from a real bug class here:
                 common/logging.h (whose implementation is the single
                 allowed writer). Tools and benches own their process
                 stderr and are exempt.
+
+  one-json-writer
+                Every JSON document src/ emits goes through the one
+                append-only writer in src/io/json_writer.{h,cc}. Three
+                hand-rolled escapers, per-character string building and
+                ostringstream exporters were once the largest CPU cost
+                of a sampled preview. Outside the writer, src/ may not
+                define a `Quoted(`/`JsonEscape` helper, spell the
+                `\\u%04x` escape format, or build JSON members by hand
+                in string literals; and a JSON emitter (a file that uses
+                the writer or the preview exporters) may not format
+                numbers with a `"%.<n>g"` literal or an
+                std::ostringstream. Other text formats (/metrics, the
+                Markdown report) keep their own formatting.
 
   layering      Modules form a DAG; an #include against the arrow
                 (core/ including server/, say) couples the algorithm
@@ -109,6 +123,23 @@ NAKED_STDERR_ALLOWED = {
 }
 
 # ---------------------------------------------------------------------------
+# Rule: one-json-writer
+# ---------------------------------------------------------------------------
+# Applies to src/ only. The writer itself is the one allowed home of an
+# escaper and a number formatter.
+JSON_WRITER_FILES = {"src/io/json_writer.h", "src/io/json_writer.cc"}
+# A definition or declaration (return type first), not a call.
+JSON_ESCAPER_DEF_RE = re.compile(r"\bstd::string\s+(Quoted|JsonEscape)\s*\(")
+# The \u%04x format string, as spelled in C++ source ("\\u%04x").
+JSON_UNICODE_FORMAT_RE = re.compile(r"\\\\u%0?4x")
+# A hand-built JSON member: a string literal holding \"name\":
+JSON_HAND_KEY_RE = re.compile(r'\\"[A-Za-z_]\w*\\"\s*:')
+# What marks a file as a JSON emitter.
+JSON_EMITTER_RE = re.compile(
+    r'\bJsonWriter\b|#\s*include\s*"io/json_(writer|export)\.h"')
+JSON_EMITTER_FORBIDDEN_RE = re.compile(r'"%\.\d+g"|\bstd::ostringstream\b')
+
+# ---------------------------------------------------------------------------
 # Rule: layering
 # ---------------------------------------------------------------------------
 # module -> modules it may #include from (first path component of a
@@ -151,6 +182,9 @@ def scan_file(rel_path: str, findings: list) -> None:
 
     parts = rel_path.split("/")
     module = parts[1] if parts[0] == "src" and len(parts) > 2 else None
+    json_rules = (rel_path.startswith("src/")
+                  and rel_path not in JSON_WRITER_FILES)
+    json_emitter = json_rules and JSON_EMITTER_RE.search(code) is not None
 
     for lineno, line in enumerate(lines, start=1):
         if rel_path not in BLOCKING_IO_ALLOWED:
@@ -184,6 +218,16 @@ def scan_file(rel_path: str, findings: list) -> None:
                 f"{rel_path}:{lineno}: [no-naked-stderr] direct stderr "
                 f"write in library code bypasses the level gate — use "
                 f"EGP_LOG from common/logging.h")
+        if json_rules:
+            m = (JSON_ESCAPER_DEF_RE.search(line)
+                 or JSON_UNICODE_FORMAT_RE.search(line)
+                 or JSON_HAND_KEY_RE.search(line)
+                 or (json_emitter and JSON_EMITTER_FORBIDDEN_RE.search(line)))
+            if m:
+                findings.append(
+                    f"{rel_path}:{lineno}: [one-json-writer] "
+                    f"`{m.group(0)}` starts a second JSON writer — emit "
+                    f"JSON through JsonWriter (src/io/json_writer.h)")
         if module is not None:
             for inc in QUOTED_INCLUDE_RE.findall(line):
                 target = inc.split("/", 1)[0]
