@@ -8,19 +8,11 @@ namespace egp {
 namespace {
 
 // Fixed table: global Mutex objects register during static
-// initialization, so this must be constant-initializable (zero atomics)
+// initialization, so this must be constant-initialized (zero atomics)
 // with no dynamic allocation and no guard variable.
 constexpr size_t kMaxLockSites = 128;
-LockSite g_sites[kMaxLockSites];
-std::atomic<size_t> g_site_count{0};
+constinit LockSite g_sites[kMaxLockSites];
 std::atomic<bool> g_enabled{true};
-
-size_t WaitBucketIndex(double seconds) {
-  for (size_t i = 0; i < kLockWaitBucketCount - 1; ++i) {
-    if (seconds <= kLockWaitBounds[i]) return i;
-  }
-  return kLockWaitBucketCount - 1;  // +Inf
-}
 
 void UpdateMax(std::atomic<uint64_t>& slot, uint64_t value) {
   uint64_t seen = slot.load(std::memory_order_relaxed);
@@ -34,25 +26,23 @@ void UpdateMax(std::atomic<uint64_t>& slot, uint64_t value) {
 LockSite* RegisterLockSite(const char* name) {
   if (name == nullptr) return nullptr;
   // Dedup by name so every Engine (each with its own cache Mutex) shares
-  // one "engine.prepared_cache" slot. Linear scan: registration happens
-  // once per Mutex construction, not per acquisition.
-  const size_t count = g_site_count.load(std::memory_order_acquire);
-  for (size_t i = 0; i < count; ++i) {
-    const char* existing = g_sites[i].name.load(std::memory_order_acquire);
-    if (existing != nullptr &&
-        (existing == name || std::strcmp(existing, name) == 0)) {
-      return &g_sites[i];
+  // one "engine.prepared_cache" slot. Slots are claimed in order by CAS
+  // on the name, so named slots form a prefix and a name can only land
+  // in the first slot that did not already hold another name: a racer
+  // that loses the CAS re-reads the winner's name and matches it.
+  // Linear scan: registration happens once per Mutex construction, not
+  // per acquisition.
+  for (LockSite& site : g_sites) {
+    const char* existing = site.name.load(std::memory_order_acquire);
+    if (existing == nullptr &&
+        site.name.compare_exchange_strong(existing, name,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+      return &site;
     }
+    if (existing == name || std::strcmp(existing, name) == 0) return &site;
   }
-  // Claim the next slot. Two racing registrations of the same name may
-  // burn two slots — harmless (both record under the same label).
-  const size_t slot = g_site_count.fetch_add(1, std::memory_order_acq_rel);
-  if (slot >= kMaxLockSites) {
-    g_site_count.store(kMaxLockSites, std::memory_order_release);
-    return nullptr;  // table full: degrade to unlabeled
-  }
-  g_sites[slot].name.store(name, std::memory_order_release);
-  return &g_sites[slot];
+  return nullptr;  // table full: degrade to unlabeled
 }
 
 bool LockTelemetryEnabled() {
@@ -71,12 +61,8 @@ int64_t LockStatsNanos() {
 
 void RecordLockWait(LockSite* site, int64_t wait_nanos) {
   if (wait_nanos < 0) wait_nanos = 0;
-  const auto nanos = static_cast<uint64_t>(wait_nanos);
-  site->contentions.fetch_add(1, std::memory_order_relaxed);
-  site->wait_nanos.fetch_add(nanos, std::memory_order_relaxed);
-  UpdateMax(site->max_wait_nanos, nanos);
-  const size_t bucket = WaitBucketIndex(static_cast<double>(wait_nanos) * 1e-9);
-  site->wait_buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  site->wait.Observe(wait_nanos);
+  UpdateMax(site->max_wait_nanos, static_cast<uint64_t>(wait_nanos));
 }
 
 void RecordLockHold(LockSite* site, int64_t hold_nanos) {
@@ -94,27 +80,17 @@ bool ShouldSampleHold(LockSite* site) {
 
 std::vector<LockSiteSnapshot> SnapshotLockSites() {
   std::vector<LockSiteSnapshot> out;
-  const size_t count = g_site_count.load(std::memory_order_acquire);
-  const size_t n = count < kMaxLockSites ? count : kMaxLockSites;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const LockSite& site = g_sites[i];
+  for (const LockSite& site : g_sites) {
     const char* name = site.name.load(std::memory_order_acquire);
-    if (name == nullptr) continue;  // slot claimed but not yet named
+    if (name == nullptr) break;  // named slots form a prefix
     LockSiteSnapshot snap;
     snap.name = name;
     snap.acquisitions = site.acquisitions.load(std::memory_order_relaxed);
-    snap.contentions = site.contentions.load(std::memory_order_relaxed);
-    snap.wait_seconds =
-        static_cast<double>(site.wait_nanos.load(std::memory_order_relaxed)) *
-        1e-9;
+    snap.wait = site.wait.snapshot();
     snap.max_wait_seconds =
         static_cast<double>(
             site.max_wait_nanos.load(std::memory_order_relaxed)) *
         1e-9;
-    for (size_t b = 0; b < kLockWaitBucketCount; ++b) {
-      snap.wait_buckets[b] = site.wait_buckets[b].load(std::memory_order_relaxed);
-    }
     snap.hold_samples = site.hold_samples.load(std::memory_order_relaxed);
     snap.hold_seconds =
         static_cast<double>(site.hold_nanos.load(std::memory_order_relaxed)) *

@@ -7,18 +7,21 @@
 // per site:
 //
 //   - contentions: acquisitions that found the lock held and had to wait,
-//     with the wait time in a fixed-bound histogram (egp_mutex_wait_seconds)
+//     each wait observed into a Histogram (egp_mutex_wait_seconds), whose
+//     count is the contention count
 //   - sampled hold times: 1 in kHoldSamplePeriod acquisitions measure
 //     lock-held duration, so the cost on the hot path is a counter bump
 //
 // Everything here is lock-free by construction — it runs inside
 // Mutex::Lock/Unlock, so taking a lock to record lock stats would be
 // somewhere between slow and deadlock. The registry is a fixed array of
-// slots claimed by CAS; counters are relaxed atomics (per-event ordering
-// does not matter, totals do); snapshots read whatever is current.
+// slots claimed in order by CAS on the slot's name; counters are relaxed
+// atomics (per-event ordering does not matter, totals do); snapshots
+// read whatever is current.
 //
 // This header is included by common/mutex.h and must therefore stay
-// dependency-free: no mutex.h, no logging, nothing that locks.
+// dependency-free beyond the std-only common/histogram.h: no mutex.h, no
+// logging, nothing that locks.
 #ifndef EGP_COMMON_LOCK_STATS_H_
 #define EGP_COMMON_LOCK_STATS_H_
 
@@ -27,15 +30,9 @@
 #include <cstdint>
 #include <vector>
 
-namespace egp {
+#include "common/histogram.h"
 
-/// Upper bucket bounds (seconds) for the wait-time histogram, chosen to
-/// bracket "invisible" (sub-microsecond futex handoff) through "the
-/// server is in trouble" (a second-long convoy). +Inf is implicit.
-inline constexpr double kLockWaitBounds[] = {1e-6, 1e-5, 1e-4,
-                                             1e-3, 1e-2, 1e-1, 1.0};
-inline constexpr size_t kLockWaitBucketCount =
-    sizeof(kLockWaitBounds) / sizeof(kLockWaitBounds[0]) + 1;  // + Inf
+namespace egp {
 
 /// One acquisition in kHoldSamplePeriod measures hold time.
 inline constexpr uint64_t kHoldSamplePeriod = 64;
@@ -47,10 +44,8 @@ inline constexpr uint64_t kHoldSamplePeriod = 64;
 struct LockSite {
   std::atomic<const char*> name{nullptr};
   std::atomic<uint64_t> acquisitions{0};  // all Lock()/TryLock() successes
-  std::atomic<uint64_t> contentions{0};   // acquisitions that waited
-  std::atomic<uint64_t> wait_nanos{0};    // total nanos spent waiting
+  Histogram wait;  // one observation per acquisition that waited
   std::atomic<uint64_t> max_wait_nanos{0};
-  std::atomic<uint64_t> wait_buckets[kLockWaitBucketCount] = {};
   std::atomic<uint64_t> hold_samples{0};  // acquisitions with timed hold
   std::atomic<uint64_t> hold_nanos{0};    // total nanos across samples
   std::atomic<uint64_t> max_hold_nanos{0};
@@ -59,6 +54,7 @@ struct LockSite {
 /// Registers (or finds, by pointer-or-string equality) the site named
 /// `name` and returns its slot, or nullptr when the fixed table is full
 /// (the mutex then degrades to an unlabeled one — never an error).
+/// Racing registrations of one name all get the same slot.
 /// `name` must outlive the process (string literals, in practice).
 LockSite* RegisterLockSite(const char* name);
 
@@ -84,10 +80,8 @@ bool ShouldSampleHold(LockSite* site);
 struct LockSiteSnapshot {
   const char* name = nullptr;
   uint64_t acquisitions = 0;
-  uint64_t contentions = 0;
-  double wait_seconds = 0;
+  Histogram::Snapshot wait;  // count() is the contention count
   double max_wait_seconds = 0;
-  uint64_t wait_buckets[kLockWaitBucketCount] = {};  // per-bucket counts
   uint64_t hold_samples = 0;
   double hold_seconds = 0;
   double max_hold_seconds = 0;

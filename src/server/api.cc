@@ -434,17 +434,17 @@ void PreviewService::EnableProfiler(int default_hz) {
 }
 
 HttpResponse PreviewService::Handle(const HttpRequest& request) {
-  Timer timer;
+  const int64_t start_ns = MonotonicNanos();
   std::string endpoint = "other";
   std::string dataset;
   HttpResponse response = Route(request, &endpoint, &dataset);
   response.headers.emplace_back("Server", "egp/" + version_);
-  const double seconds = timer.ElapsedSeconds();
-  metrics_.RecordRequest(endpoint, response.status, seconds);
+  const int64_t nanos = MonotonicNanos() - start_ns;
+  metrics_.RecordRequest(endpoint, response.status, nanos);
   // Dataset-scoped series only for names that resolved against the
   // catalog — arbitrary client strings must not mint label values.
   if (!dataset.empty()) {
-    metrics_.RecordDataset(dataset, response.status, seconds);
+    metrics_.RecordDataset(dataset, response.status, nanos);
   }
   return response;
 }
@@ -644,218 +644,155 @@ HttpResponse PreviewService::HandleHealthz() const {
 }
 
 HttpResponse PreviewService::HandleMetrics() const {
-  std::string out = metrics_.PrometheusText();
+  // Every family is declared once, in exposition order, and rendered by
+  // RenderMetricFamilies. Each Engine's cache stats are read once, so the
+  // four cache families of a dataset come from one moment.
+  std::vector<MetricFamily> families = metrics_.Families();
+  std::vector<MetricSeries> hits, misses, evictions, entries;
+  for (const DatasetCatalog::Info& info : catalog_.infos()) {
+    const Engine::CacheStats stats = catalog_.Find(info.name)->cache_stats();
+    const std::string labels = "dataset=\"" + info.name + "\"";
+    hits.push_back({labels, stats.hits});
+    misses.push_back({labels, stats.misses});
+    evictions.push_back({labels, stats.evictions});
+    entries.push_back({labels, uint64_t{stats.entries}});
+  }
+  families.push_back({"egp_prepared_cache_hits_total", "counter",
+                      "Prepared-schema cache hits, by dataset.",
+                      std::move(hits)});
+  families.push_back({"egp_prepared_cache_misses_total", "counter",
+                      "Prepared-schema cache misses, by dataset.",
+                      std::move(misses)});
+  families.push_back({"egp_prepared_cache_evictions_total", "counter",
+                      "Prepared-schema cache evictions, by dataset.",
+                      std::move(evictions)});
+  families.push_back({"egp_prepared_cache_entries", "gauge",
+                      "Prepared schemas currently cached, by dataset.",
+                      std::move(entries)});
 
-  AppendMetricHeader(&out, "egp_prepared_cache_hits_total", "counter",
-                     "Prepared-schema cache hits, by dataset.");
-  for (const DatasetCatalog::Info& info : catalog_.infos()) {
-    const Engine* engine = catalog_.Find(info.name);
-    const Engine::CacheStats stats = engine->cache_stats();
-    AppendMetric(&out, "egp_prepared_cache_hits_total",
-                 "dataset=\"" + info.name + "\"", stats.hits);
-  }
-  AppendMetricHeader(&out, "egp_prepared_cache_misses_total", "counter",
-                     "Prepared-schema cache misses, by dataset.");
-  for (const DatasetCatalog::Info& info : catalog_.infos()) {
-    const Engine::CacheStats stats =
-        catalog_.Find(info.name)->cache_stats();
-    AppendMetric(&out, "egp_prepared_cache_misses_total",
-                 "dataset=\"" + info.name + "\"", stats.misses);
-  }
-  AppendMetricHeader(&out, "egp_prepared_cache_evictions_total", "counter",
-                     "Prepared-schema cache evictions, by dataset.");
-  for (const DatasetCatalog::Info& info : catalog_.infos()) {
-    const Engine::CacheStats stats =
-        catalog_.Find(info.name)->cache_stats();
-    AppendMetric(&out, "egp_prepared_cache_evictions_total",
-                 "dataset=\"" + info.name + "\"", stats.evictions);
-  }
-  AppendMetricHeader(&out, "egp_prepared_cache_entries", "gauge",
-                     "Prepared schemas currently cached, by dataset.");
-  for (const DatasetCatalog::Info& info : catalog_.infos()) {
-    const Engine::CacheStats stats =
-        catalog_.Find(info.name)->cache_stats();
-    AppendMetric(&out, "egp_prepared_cache_entries",
-                 "dataset=\"" + info.name + "\"",
-                 static_cast<uint64_t>(stats.entries));
-  }
+  families.push_back({"egp_catalog_datasets_loaded", "gauge",
+                      "Datasets serving from the catalog.",
+                      {{"", uint64_t{catalog_.size()}}}});
+  families.push_back({"egp_catalog_datasets_failed", "gauge",
+                      "Datasets that failed to load.",
+                      {{"", uint64_t{catalog_.failed().size()}}}});
 
-  AppendMetricHeader(&out, "egp_catalog_datasets_loaded", "gauge",
-                     "Datasets serving from the catalog.");
-  AppendMetric(&out, "egp_catalog_datasets_loaded", "",
-               static_cast<uint64_t>(catalog_.size()));
-  AppendMetricHeader(&out, "egp_catalog_datasets_failed", "gauge",
-                     "Datasets that failed to load.");
-  AppendMetric(&out, "egp_catalog_datasets_failed", "",
-               static_cast<uint64_t>(catalog_.failed().size()));
-
-  {
-    const AdmissionStats admission = admission_.stats();
-    AppendMetricHeader(&out, "egp_admission_hot_total", "counter",
-                       "Previews admitted on the hot (cached) path.");
-    AppendMetric(&out, "egp_admission_hot_total", "", admission.hot_admitted);
-    AppendMetricHeader(&out, "egp_admission_cold_admitted_total", "counter",
-                       "Cold previews granted a build slot.");
-    AppendMetric(&out, "egp_admission_cold_admitted_total", "",
-                 admission.cold_admitted);
-    AppendMetricHeader(&out, "egp_admission_cold_queued_total", "counter",
-                       "Cold previews that waited in the build queue.");
-    AppendMetric(&out, "egp_admission_cold_queued_total", "",
-                 admission.cold_queued);
-    AppendMetricHeader(&out, "egp_admission_cold_shed_total", "counter",
-                       "Cold previews shed with 503.");
-    AppendMetric(&out, "egp_admission_cold_shed_total", "",
-                 admission.cold_shed);
-    AppendMetricHeader(&out, "egp_admission_cold_inflight", "gauge",
-                       "Cold builds currently holding a slot.");
-    AppendMetric(&out, "egp_admission_cold_inflight", "",
-                 static_cast<uint64_t>(admission.cold_inflight));
-    AppendMetricHeader(&out, "egp_admission_cold_queue_depth", "gauge",
-                       "Cold builds currently queued for a slot.");
-    AppendMetric(&out, "egp_admission_cold_queue_depth", "",
-                 static_cast<uint64_t>(admission.cold_queue_depth));
-  }
+  const AdmissionStats admission = admission_.stats();
+  families.push_back({"egp_admission_hot_total", "counter",
+                      "Previews admitted on the hot (cached) path.",
+                      {{"", admission.hot_admitted}}});
+  families.push_back({"egp_admission_cold_admitted_total", "counter",
+                      "Cold previews granted a build slot.",
+                      {{"", admission.cold_admitted}}});
+  families.push_back({"egp_admission_cold_queued_total", "counter",
+                      "Cold previews that waited in the build queue.",
+                      {{"", admission.cold_queued}}});
+  families.push_back({"egp_admission_cold_shed_total", "counter",
+                      "Cold previews shed with 503.",
+                      {{"", admission.cold_shed}}});
+  families.push_back({"egp_admission_cold_inflight", "gauge",
+                      "Cold builds currently holding a slot.",
+                      {{"", uint64_t{admission.cold_inflight}}}});
+  families.push_back({"egp_admission_cold_queue_depth", "gauge",
+                      "Cold builds currently queued for a slot.",
+                      {{"", uint64_t{admission.cold_queue_depth}}}});
 
   if (const HttpServer* server = server_.load(std::memory_order_acquire)) {
     const HttpServerStats stats = server->stats();
-    AppendMetricHeader(&out, "egp_http_connections_accepted_total",
-                       "counter", "Connections accepted.");
-    AppendMetric(&out, "egp_http_connections_accepted_total", "",
-                 stats.accepted_connections);
-    AppendMetricHeader(&out, "egp_http_connections_rejected_total",
-                       "counter", "Connections 503'd at the cap.");
-    AppendMetric(&out, "egp_http_connections_rejected_total", "",
-                 stats.rejected_connections);
-    AppendMetricHeader(&out, "egp_http_connections_timed_out_total",
-                       "counter", "Connections closed by an I/O deadline.");
-    AppendMetric(&out, "egp_http_connections_timed_out_total", "",
-                 stats.timed_out_connections);
-    AppendMetricHeader(&out, "egp_http_parse_errors_total", "counter",
-                       "Requests rejected by the HTTP parser.");
-    AppendMetric(&out, "egp_http_parse_errors_total", "",
-                 stats.parse_errors);
-    AppendMetricHeader(&out, "egp_http_accept_overloads_total", "counter",
-                       "Accept failures from fd or memory exhaustion.");
-    AppendMetric(&out, "egp_http_accept_overloads_total", "",
-                 stats.accept_overloads);
-    AppendMetricHeader(&out, "egp_http_overload_sheds_total", "counter",
-                       "Connections shed via the emergency descriptor.");
-    AppendMetric(&out, "egp_http_overload_sheds_total", "",
-                 stats.overload_sheds);
+    families.push_back({"egp_http_connections_accepted_total", "counter",
+                        "Connections accepted.",
+                        {{"", stats.accepted_connections}}});
+    families.push_back({"egp_http_connections_rejected_total", "counter",
+                        "Connections 503'd at the cap.",
+                        {{"", stats.rejected_connections}}});
+    families.push_back({"egp_http_connections_timed_out_total", "counter",
+                        "Connections closed by an I/O deadline.",
+                        {{"", stats.timed_out_connections}}});
+    families.push_back({"egp_http_parse_errors_total", "counter",
+                        "Requests rejected by the HTTP parser.",
+                        {{"", stats.parse_errors}}});
+    families.push_back({"egp_http_accept_overloads_total", "counter",
+                        "Accept failures from fd or memory exhaustion.",
+                        {{"", stats.accept_overloads}}});
+    families.push_back({"egp_http_overload_sheds_total", "counter",
+                        "Connections shed via the emergency descriptor.",
+                        {{"", stats.overload_sheds}}});
 
     const HttpServerRuntimeStats runtime = server->runtime_stats();
-    AppendHistogram(
-        &out, "egp_loop_lag_seconds",
-        "Event-loop pass duration (epoll wake until back to waiting).",
-        runtime.loop_lag);
-    AppendMetricHeader(&out, "egp_connections", "gauge",
-                       "Open connections by lifecycle phase.");
-    AppendMetric(&out, "egp_connections", "phase=\"reading\"",
-                 static_cast<uint64_t>(runtime.connections_reading));
-    AppendMetric(&out, "egp_connections", "phase=\"handling\"",
-                 static_cast<uint64_t>(runtime.connections_handling));
-    AppendMetric(&out, "egp_connections", "phase=\"writing\"",
-                 static_cast<uint64_t>(runtime.connections_writing));
-    AppendMetricHeader(&out, "egp_timer_heap_depth", "gauge",
-                       "Deadline-timer heap entries (incl. stale).");
-    AppendMetric(&out, "egp_timer_heap_depth", "",
-                 static_cast<uint64_t>(runtime.timer_heap_depth));
-    AppendMetricHeader(&out, "egp_completion_queue_depth", "gauge",
-                       "Handler results awaiting the event loop.");
-    AppendMetric(&out, "egp_completion_queue_depth", "",
-                 static_cast<uint64_t>(runtime.completion_queue_depth));
+    families.push_back(
+        {"egp_loop_lag_seconds", "histogram",
+         "Event-loop pass duration (epoll wake until back to waiting).",
+         {{"", runtime.loop_lag}}});
+    families.push_back(
+        {"egp_connections", "gauge", "Open connections by lifecycle phase.",
+         {{"phase=\"reading\"", uint64_t{runtime.connections_reading}},
+          {"phase=\"handling\"", uint64_t{runtime.connections_handling}},
+          {"phase=\"writing\"", uint64_t{runtime.connections_writing}}}});
+    families.push_back({"egp_timer_heap_depth", "gauge",
+                        "Deadline-timer heap entries (incl. stale).",
+                        {{"", uint64_t{runtime.timer_heap_depth}}}});
+    families.push_back({"egp_completion_queue_depth", "gauge",
+                        "Handler results awaiting the event loop.",
+                        {{"", uint64_t{runtime.completion_queue_depth}}}});
   }
 
   if (const FlightRecorder* recorder =
           recorder_.load(std::memory_order_acquire)) {
-    AppendMetricHeader(&out, "egp_flight_recorder_traces_total", "counter",
-                       "Request traces recorded (ring overwrites count).");
-    AppendMetric(&out, "egp_flight_recorder_traces_total", "",
-                 recorder->recorded());
+    families.push_back({"egp_flight_recorder_traces_total", "counter",
+                        "Request traces recorded (ring overwrites count).",
+                        {{"", recorder->recorded()}}});
   }
 
-  {
-    const std::vector<LockSiteSnapshot> sites = SnapshotLockSites();
-    if (!sites.empty()) {
-      AppendMetricHeader(&out, "egp_mutex_acquisitions_total", "counter",
-                         "Labeled-mutex acquisitions, by site.");
-      for (const LockSiteSnapshot& site : sites) {
-        AppendMetric(&out, "egp_mutex_acquisitions_total",
-                     "site=\"" + std::string(site.name) + "\"",
-                     site.acquisitions);
-      }
-      AppendMetricHeader(&out, "egp_mutex_contentions_total", "counter",
-                         "Acquisitions that found the lock held, by site.");
-      for (const LockSiteSnapshot& site : sites) {
-        AppendMetric(&out, "egp_mutex_contentions_total",
-                     "site=\"" + std::string(site.name) + "\"",
-                     site.contentions);
-      }
-      // Hand-rolled histogram: lock-wait bounds differ from the request
-      // LatencyHistogram's, so AppendHistogramSamples does not apply.
-      AppendMetricHeader(&out, "egp_mutex_wait_seconds", "histogram",
-                         "Contended lock-wait time, by site.");
-      for (const LockSiteSnapshot& site : sites) {
-        const std::string prefix = "site=\"" + std::string(site.name) + "\"";
-        uint64_t cumulative = 0;
-        for (size_t i = 0; i + 1 < kLockWaitBucketCount; ++i) {
-          cumulative += site.wait_buckets[i];
-          AppendMetric(&out, "egp_mutex_wait_seconds_bucket",
-                       prefix + ",le=\"" +
-                           StrFormat("%g", kLockWaitBounds[i]) + "\"",
-                       cumulative);
-        }
-        // +Inf and _count derive from the bucket sums (not the separate
-        // contentions counter) so a scrape racing RecordLockWait still
-        // sees a self-consistent, monotone histogram.
-        cumulative += site.wait_buckets[kLockWaitBucketCount - 1];
-        AppendMetric(&out, "egp_mutex_wait_seconds_bucket",
-                     prefix + ",le=\"+Inf\"", cumulative);
-        AppendMetric(&out, "egp_mutex_wait_seconds_sum", prefix,
-                     site.wait_seconds);
-        AppendMetric(&out, "egp_mutex_wait_seconds_count", prefix,
-                     cumulative);
-      }
+  if (const std::vector<LockSiteSnapshot> sites = SnapshotLockSites();
+      !sites.empty()) {
+    std::vector<MetricSeries> acquisitions, contentions, waits;
+    for (const LockSiteSnapshot& site : sites) {
+      const std::string labels = "site=\"" + std::string(site.name) + "\"";
+      acquisitions.push_back({labels, site.acquisitions});
+      contentions.push_back({labels, site.wait.count()});
+      waits.push_back({labels, site.wait});
     }
+    families.push_back({"egp_mutex_acquisitions_total", "counter",
+                        "Labeled-mutex acquisitions, by site.",
+                        std::move(acquisitions)});
+    families.push_back({"egp_mutex_contentions_total", "counter",
+                        "Acquisitions that found the lock held, by site.",
+                        std::move(contentions)});
+    families.push_back({"egp_mutex_wait_seconds", "histogram",
+                        "Contended lock-wait time, by site.",
+                        std::move(waits)});
   }
 
-  {
-    const ProfilerStats prof = Profiler::Global().stats();
-    AppendMetricHeader(&out, "egp_profiler_windows_total", "counter",
-                       "Completed profiling windows.");
-    AppendMetric(&out, "egp_profiler_windows_total", "", prof.windows_total);
-    AppendMetricHeader(&out, "egp_profiler_samples_total", "counter",
-                       "Stack samples captured across all windows.");
-    AppendMetric(&out, "egp_profiler_samples_total", "", prof.samples_total);
-    AppendMetricHeader(&out, "egp_profiler_dropped_total", "counter",
-                       "Samples dropped to full per-thread rings.");
-    AppendMetric(&out, "egp_profiler_dropped_total", "", prof.dropped_total);
-    AppendMetricHeader(&out, "egp_profiler_active", "gauge",
-                       "1 while a profiling window is collecting.");
-    AppendMetric(&out, "egp_profiler_active", "",
-                 static_cast<uint64_t>(prof.active ? 1 : 0));
-    AppendMetricHeader(&out, "egp_profiler_threads", "gauge",
-                       "Threads registered for profiling signals.");
-    AppendMetric(&out, "egp_profiler_threads", "",
-                 static_cast<uint64_t>(prof.registered_threads));
-  }
+  const ProfilerStats prof = Profiler::Global().stats();
+  families.push_back({"egp_profiler_windows_total", "counter",
+                      "Completed profiling windows.",
+                      {{"", prof.windows_total}}});
+  families.push_back({"egp_profiler_samples_total", "counter",
+                      "Stack samples captured across all windows.",
+                      {{"", prof.samples_total}}});
+  families.push_back({"egp_profiler_dropped_total", "counter",
+                      "Samples dropped to full per-thread rings.",
+                      {{"", prof.dropped_total}}});
+  families.push_back({"egp_profiler_active", "gauge",
+                      "1 while a profiling window is collecting.",
+                      {{"", uint64_t{prof.active ? 1u : 0u}}}});
+  families.push_back({"egp_profiler_threads", "gauge",
+                      "Threads registered for profiling signals.",
+                      {{"", static_cast<uint64_t>(prof.registered_threads)}}});
 
   const ProcessStats process = ReadProcessStats();
-  AppendMetricHeader(&out, "egp_process_resident_bytes", "gauge",
-                     "Resident set size from /proc/self/statm.");
-  AppendMetric(&out, "egp_process_resident_bytes", "",
-               process.resident_bytes);
-  AppendMetricHeader(&out, "egp_process_open_fds", "gauge",
-                     "Open file descriptors.");
-  AppendMetric(&out, "egp_process_open_fds", "", process.open_fds);
-  AppendMetricHeader(&out, "egp_process_uptime_seconds", "gauge",
-                     "Seconds since process start.");
-  AppendMetric(&out, "egp_process_uptime_seconds", "",
-               process.uptime_seconds);
+  families.push_back({"egp_process_resident_bytes", "gauge",
+                      "Resident set size from /proc/self/statm.",
+                      {{"", process.resident_bytes}}});
+  families.push_back({"egp_process_open_fds", "gauge",
+                      "Open file descriptors.", {{"", process.open_fds}}});
+  families.push_back({"egp_process_uptime_seconds", "gauge",
+                      "Seconds since process start.",
+                      {{"", process.uptime_seconds}}});
 
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  response.body = std::move(out);
+  response.body = RenderMetricFamilies(families);
   return response;
 }
 
@@ -919,10 +856,10 @@ HttpResponse PreviewService::HandleDebugLocks() const {
   std::vector<LockSiteSnapshot> sites = SnapshotLockSites();
   std::sort(sites.begin(), sites.end(),
             [](const LockSiteSnapshot& a, const LockSiteSnapshot& b) {
-              if (a.wait_seconds != b.wait_seconds) {
-                return a.wait_seconds > b.wait_seconds;
+              if (a.wait.sum_seconds != b.wait.sum_seconds) {
+                return a.wait.sum_seconds > b.wait.sum_seconds;
               }
-              return a.contentions > b.contentions;
+              return a.wait.count() > b.wait.count();
             });
   HttpResponse response;
   JsonWriter json(&response.body);
@@ -930,8 +867,8 @@ HttpResponse PreviewService::HandleDebugLocks() const {
   for (const LockSiteSnapshot& site : sites) {
     json.BeginObject().Key("site").String(site.name);
     json.Key("acquisitions").Uint(site.acquisitions);
-    json.Key("contentions").Uint(site.contentions);
-    json.Key("waitSeconds").Number(site.wait_seconds);
+    json.Key("contentions").Uint(site.wait.count());
+    json.Key("waitSeconds").Number(site.wait.sum_seconds);
     json.Key("maxWaitSeconds").Number(site.max_wait_seconds);
     json.Key("holdSamples").Uint(site.hold_samples);
     json.Key("holdSeconds").Number(site.hold_seconds);

@@ -232,8 +232,7 @@ void HttpServer::Loop() {
     // wakeup write that raced with this pass can't strand a response
     // until the next unrelated event.
     DrainCompletions();
-    loop_lag_.Observe(
-        static_cast<double>(MonotonicNanos() - pass_start_ns) * 1e-9);
+    loop_lag_.Observe(MonotonicNanos() - pass_start_ns);
     timer_depth_.store(timers_.size(), std::memory_order_relaxed);
     if (draining_.load(std::memory_order_acquire) && connections_.empty()) {
       break;

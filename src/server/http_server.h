@@ -45,12 +45,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/parallel.h"
 #include "common/result.h"
 #include "common/trace.h"
 #include "server/http.h"
-#include "server/metrics.h"
 #include "server/socket.h"
 
 namespace egp {
@@ -112,7 +112,7 @@ struct HttpServerRuntimeStats {
   /// Duration of one event-processing pass (epoll wake -> back to
   /// epoll_wait): the latency tax every ready event pays before the
   /// loop gets back to waiting.
-  LatencyHistogram::Snapshot loop_lag;
+  Histogram::Snapshot loop_lag;
   size_t connections_reading = 0;
   size_t connections_handling = 0;
   size_t connections_writing = 0;
@@ -265,7 +265,7 @@ class HttpServer {
   // ---- Introspection (atomics: written by the loop thread, scraped by
   // any thread via runtime_stats()).
   TraceIdGenerator trace_ids_;
-  LatencyHistogram loop_lag_;
+  Histogram loop_lag_;
   std::atomic<size_t> phase_counts_[3]{};  // indexed by Connection::Phase
   std::atomic<size_t> timer_depth_{0};
 

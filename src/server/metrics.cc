@@ -3,204 +3,137 @@
 #include "common/strings.h"
 
 namespace egp {
+namespace {
 
-void LatencyHistogram::Observe(double seconds) {
-  if (seconds < 0) seconds = 0;
-  size_t bucket = kBounds.size();  // +Inf
-  for (size_t i = 0; i < kBounds.size(); ++i) {
-    if (seconds <= kBounds[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  sum_nanos_.fetch_add(static_cast<uint64_t>(seconds * 1e9),
-                       std::memory_order_relaxed);
+void AppendSample(std::string* out, std::string_view name,
+                  std::string_view labels, std::string_view value) {
+  out->append(name);
+  if (!labels.empty()) out->append("{").append(labels).append("}");
+  out->append(" ").append(value).append("\n");
 }
 
-LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
-  Snapshot snap;
-  uint64_t running = 0;
-  for (size_t i = 0; i < kBounds.size(); ++i) {
-    running += buckets_[i].load(std::memory_order_relaxed);
-    snap.cumulative[i] = running;
-  }
-  snap.count =
-      running + buckets_[kBounds.size()].load(std::memory_order_relaxed);
-  snap.sum_seconds =
-      static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  return snap;
+void AppendSample(std::string* out, std::string_view name,
+                  std::string_view labels, uint64_t value) {
+  AppendSample(out, name, labels, std::to_string(value));
 }
 
-double LatencyHistogram::Snapshot::Quantile(double q) const {
-  if (count == 0) return 0.0;
-  if (q < 0) q = 0;
-  if (q > 1) q = 1;
-  const double rank = q * static_cast<double>(count);
-  uint64_t previous = 0;
-  for (size_t i = 0; i < kBounds.size(); ++i) {
-    if (static_cast<double>(cumulative[i]) >= rank) {
-      const uint64_t in_bucket = cumulative[i] - previous;
-      const double lower = i == 0 ? 0.0 : kBounds[i - 1];
-      const double upper = kBounds[i];
-      if (in_bucket == 0) return upper;
-      const double frac =
-          (rank - static_cast<double>(previous)) / static_cast<double>(in_bucket);
-      return lower + (upper - lower) * frac;
-    }
-    previous = cumulative[i];
+void AppendSample(std::string* out, std::string_view name,
+                  std::string_view labels, double value) {
+  AppendSample(out, name, labels, StrFormat("%.9g", value));
+}
+
+/// The one place a histogram becomes exposition text: `_bucket{le=}`
+/// over every bound plus +Inf, then `_sum` and `_count`, each carrying
+/// `labels`.
+void AppendHistogramSamples(std::string* out, std::string_view name,
+                            std::string_view labels,
+                            const Histogram::Snapshot& snap) {
+  const std::string bucket = std::string(name) + "_bucket";
+  const std::string prefix =
+      labels.empty() ? std::string() : std::string(labels) + ",";
+  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+    const std::string le =
+        i < kHistogramBoundsNanos.size()
+            ? StrFormat("%g", static_cast<double>(kHistogramBoundsNanos[i]) /
+                                  1e9)
+            : "+Inf";
+    AppendSample(out, bucket, prefix + "le=\"" + le + "\"",
+                 snap.cumulative[i]);
   }
-  return kBounds.back();  // fell in +Inf: report the largest finite bound
+  AppendSample(out, std::string(name) + "_sum", labels, snap.sum_seconds);
+  AppendSample(out, std::string(name) + "_count", labels, snap.count());
+}
+
+std::string StatusLabels(std::string_view key, const std::string& value,
+                         int status) {
+  return std::string(key) + "=\"" + value + "\",status=\"" +
+         std::to_string(status) + "\"";
+}
+
+}  // namespace
+
+std::string RenderMetricFamilies(const std::vector<MetricFamily>& families) {
+  std::string out;
+  for (const MetricFamily& family : families) {
+    out.append("# HELP ").append(family.name).append(" ");
+    out.append(family.help).append("\n");
+    out.append("# TYPE ").append(family.name).append(" ");
+    out.append(family.type).append("\n");
+    for (const MetricSeries& series : family.series) {
+      if (const auto* snap = std::get_if<Histogram::Snapshot>(&series.value)) {
+        AppendHistogramSamples(&out, family.name, series.labels, *snap);
+      } else if (const auto* count = std::get_if<uint64_t>(&series.value)) {
+        AppendSample(&out, family.name, series.labels, *count);
+      } else {
+        AppendSample(&out, family.name, series.labels,
+                     std::get<double>(series.value));
+      }
+    }
+  }
+  return out;
 }
 
 void ServerMetrics::RecordRequest(std::string_view endpoint, int status,
-                                  double seconds) {
-  latency_.Observe(seconds);
+                                  int64_t nanos) {
+  latency_.Observe(nanos);
   MutexLock lock(&mu_);
   ++counts_[{std::string(endpoint), status}];
 }
 
 void ServerMetrics::RecordDataset(std::string_view dataset, int status,
-                                  double seconds) {
-  LatencyHistogram* histogram = nullptr;
+                                  int64_t nanos) {
+  Histogram* histogram = nullptr;
   {
     MutexLock lock(&mu_);
     ++dataset_counts_[{std::string(dataset), status}];
     auto& slot = dataset_latency_[std::string(dataset)];
-    if (slot == nullptr) slot = std::make_unique<LatencyHistogram>();
+    if (slot == nullptr) slot = std::make_unique<Histogram>();
     histogram = slot.get();
   }
-  histogram->Observe(seconds);  // atomics only; no need to hold mu_
+  histogram->Observe(nanos);  // atomics only; no need to hold mu_
 }
 
-std::vector<ServerMetrics::DatasetCount> ServerMetrics::dataset_counts()
-    const {
-  MutexLock lock(&mu_);
-  std::vector<DatasetCount> out;
-  out.reserve(dataset_counts_.size());
-  for (const auto& [key, count] : dataset_counts_) {
-    out.push_back(DatasetCount{key.first, key.second, count});
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, LatencyHistogram::Snapshot>>
-ServerMetrics::dataset_latency() const {
-  MutexLock lock(&mu_);
-  std::vector<std::pair<std::string, LatencyHistogram::Snapshot>> out;
-  out.reserve(dataset_latency_.size());
-  for (const auto& [dataset, histogram] : dataset_latency_) {
-    out.emplace_back(dataset, histogram->snapshot());
-  }
-  return out;
-}
-
-std::vector<ServerMetrics::RequestCount> ServerMetrics::request_counts()
-    const {
-  MutexLock lock(&mu_);
-  std::vector<RequestCount> out;
-  out.reserve(counts_.size());
-  for (const auto& [key, count] : counts_) {
-    out.push_back(RequestCount{key.first, key.second, count});
-  }
-  return out;
-}
-
-uint64_t ServerMetrics::total_requests() const {
-  MutexLock lock(&mu_);
-  uint64_t total = 0;
-  for (const auto& [key, count] : counts_) total += count;
-  return total;
-}
-
-void AppendMetricHeader(std::string* out, std::string_view name,
-                        std::string_view type, std::string_view help) {
-  out->append("# HELP ").append(name).append(" ").append(help).append("\n");
-  out->append("# TYPE ").append(name).append(" ").append(type).append("\n");
-}
-
-void AppendMetric(std::string* out, std::string_view name,
-                  std::string_view labels, double value) {
-  out->append(name);
-  if (!labels.empty()) out->append("{").append(labels).append("}");
-  out->append(" ").append(StrFormat("%.9g", value)).append("\n");
-}
-
-void AppendMetric(std::string* out, std::string_view name,
-                  std::string_view labels, uint64_t value) {
-  out->append(name);
-  if (!labels.empty()) out->append("{").append(labels).append("}");
-  out->append(" ").append(std::to_string(value)).append("\n");
-}
-
-void AppendHistogram(std::string* out, std::string_view name,
-                     std::string_view help,
-                     const LatencyHistogram::Snapshot& snap) {
-  AppendMetricHeader(out, name, "histogram", help);
-  AppendHistogramSamples(out, name, "", snap);
-}
-
-void AppendHistogramSamples(std::string* out, std::string_view name,
-                            std::string_view label_prefix,
-                            const LatencyHistogram::Snapshot& snap) {
-  const std::string bucket_name = std::string(name) + "_bucket";
-  const std::string prefix =
-      label_prefix.empty() ? std::string() : std::string(label_prefix) + ",";
-  for (size_t i = 0; i < LatencyHistogram::kBounds.size(); ++i) {
-    AppendMetric(out, bucket_name,
-                 prefix + "le=\"" + StrFormat("%g", LatencyHistogram::kBounds[i]) +
-                     "\"",
-                 snap.cumulative[i]);
-  }
-  AppendMetric(out, bucket_name, prefix + "le=\"+Inf\"", snap.count);
-  AppendMetric(out, std::string(name) + "_sum", label_prefix,
-               snap.sum_seconds);
-  AppendMetric(out, std::string(name) + "_count", label_prefix, snap.count);
-}
-
-std::string ServerMetrics::PrometheusText() const {
-  std::string out;
-  out.reserve(2048);
-
-  AppendMetricHeader(&out, "egp_http_requests_total", "counter",
-                     "Requests served, by endpoint and status.");
-  for (const RequestCount& rc : request_counts()) {
-    AppendMetric(&out, "egp_http_requests_total",
-                 "endpoint=\"" + rc.endpoint +
-                     "\",status=\"" + std::to_string(rc.status) + "\"",
-                 rc.count);
-  }
-
-  AppendHistogram(&out, "egp_http_request_duration_seconds",
-                  "End-to-end request handling latency.",
-                  latency_.snapshot());
-
-  // Dataset-scoped series appear once the first dataset request lands;
-  // a headed histogram family with zero series would fail the
-  // exposition-grammar check, so both families are emitted only when
-  // non-empty.
-  const auto by_dataset = dataset_counts();
-  if (!by_dataset.empty()) {
-    AppendMetricHeader(&out, "egp_requests_total", "counter",
-                       "Dataset-scoped requests, by dataset and status.");
-    for (const DatasetCount& dc : by_dataset) {
-      AppendMetric(&out, "egp_requests_total",
-                   "dataset=\"" + dc.dataset +
-                       "\",status=\"" + std::to_string(dc.status) + "\"",
-                   dc.count);
+std::vector<MetricFamily> ServerMetrics::Families() const {
+  MetricFamily requests{"egp_http_requests_total", "counter",
+                        "Requests served, by endpoint and status.", {}};
+  MetricFamily by_dataset{"egp_requests_total", "counter",
+                          "Dataset-scoped requests, by dataset and status.",
+                          {}};
+  MetricFamily dataset_latency{"egp_dataset_request_duration_seconds",
+                               "histogram",
+                               "Dataset-scoped request latency, by dataset.",
+                               {}};
+  {
+    MutexLock lock(&mu_);
+    for (const auto& [key, count] : counts_) {
+      requests.series.push_back(
+          {StatusLabels("endpoint", key.first, key.second), count});
+    }
+    for (const auto& [key, count] : dataset_counts_) {
+      by_dataset.series.push_back(
+          {StatusLabels("dataset", key.first, key.second), count});
+    }
+    for (const auto& [dataset, histogram] : dataset_latency_) {
+      dataset_latency.series.push_back(
+          {"dataset=\"" + dataset + "\"", histogram->snapshot()});
     }
   }
-  const auto dataset_histograms = dataset_latency();
-  if (!dataset_histograms.empty()) {
-    AppendMetricHeader(&out, "egp_dataset_request_duration_seconds",
-                       "histogram",
-                       "Dataset-scoped request latency, by dataset.");
-    for (const auto& [dataset, snap] : dataset_histograms) {
-      AppendHistogramSamples(&out, "egp_dataset_request_duration_seconds",
-                             "dataset=\"" + dataset + "\"", snap);
-    }
+  std::vector<MetricFamily> families;
+  families.push_back(std::move(requests));
+  families.push_back(
+      {"egp_http_request_duration_seconds", "histogram",
+       "Request latency from routing to the built response (includes "
+       "admission and JSON rendering; excludes read, queue, serialize "
+       "and flush).",
+       {{"", latency_.snapshot()}}});
+  // A headed histogram family with zero series would fail the
+  // exposition-grammar check, so the dataset families wait for their
+  // first series.
+  if (!by_dataset.series.empty()) families.push_back(std::move(by_dataset));
+  if (!dataset_latency.series.empty()) {
+    families.push_back(std::move(dataset_latency));
   }
-  return out;
+  return families;
 }
 
 }  // namespace egp

@@ -1,133 +1,79 @@
-// Request metrics for the serving subsystem: per-endpoint counters and a
-// fixed-bucket latency histogram, exported in the Prometheus text
-// exposition format on GET /metrics.
+// Request metrics for the serving subsystem (per-endpoint and
+// per-dataset counters and latency histograms) and the Prometheus text
+// rendering behind GET /metrics.
 //
-// Lock-light by design: Observe() on the histogram is a couple of
-// relaxed atomic increments (serving-path cost ~nothing); only the
+// Lock-light by design: Observe() on a histogram is a couple of relaxed
+// atomic increments (serving-path cost ~nothing); only the
 // per-(endpoint, status) counter map takes a mutex, and that map is tiny
 // and hit once per request.
 #ifndef EGP_SERVER_METRICS_H_
 #define EGP_SERVER_METRICS_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/mutex.h"
 
 namespace egp {
 
-/// Cumulative histogram over fixed latency bucket bounds (seconds),
-/// Prometheus-style: bucket i counts observations <= bounds[i], plus an
-/// implicit +Inf bucket, a total count, and a sum.
-class LatencyHistogram {
- public:
-  /// 500µs .. 10s in roughly 2.5× steps — wide enough for a cache-hit
-  /// preview (sub-ms) and a cold multi-second prepare on a big graph.
-  static constexpr std::array<double, 12> kBounds = {
-      0.0005, 0.001, 0.0025, 0.005, 0.010, 0.025,
-      0.050,  0.100, 0.250,  0.500, 1.0,   10.0};
-
-  void Observe(double seconds);
-
-  struct Snapshot {
-    std::array<uint64_t, kBounds.size()> cumulative{};  // counts <= bound
-    uint64_t count = 0;
-    double sum_seconds = 0.0;
-
-    /// Latency below which `q` (0..1) of observations fall, estimated by
-    /// linear interpolation inside the winning bucket; an empty
-    /// histogram gives 0.
-    double Quantile(double q) const;
-  };
-  Snapshot snapshot() const;
-
- private:
-  std::array<std::atomic<uint64_t>, kBounds.size() + 1> buckets_{};
-  std::atomic<uint64_t> sum_nanos_{0};
+/// One series of a family: its labels (`key="value",...` without
+/// braces; empty for an unlabeled series) and its value.
+struct MetricSeries {
+  std::string labels;
+  std::variant<uint64_t, double, Histogram::Snapshot> value;
 };
 
-/// All metrics the server exports. One instance per server, shared by
-/// worker threads.
+/// One Prometheus family, declared once: its header fields and every
+/// series under it.
+struct MetricFamily {
+  std::string_view name;
+  std::string_view type;  // "counter", "gauge" or "histogram"
+  std::string_view help;
+  std::vector<MetricSeries> series;
+};
+
+/// The exposition text for `families`, in order: `# HELP` and `# TYPE`
+/// per family, then its series. A histogram series expands to `_bucket`
+/// samples over kHistogramBoundsNanos and +Inf, then `_sum` and `_count`.
+std::string RenderMetricFamilies(const std::vector<MetricFamily>& families);
+
+/// All request metrics the server exports. One instance per server,
+/// shared by worker threads.
 class ServerMetrics {
  public:
   /// Records one served request. `endpoint` should be the route label
   /// ("/v1/preview"), not the raw target (no per-query-string series).
-  void RecordRequest(std::string_view endpoint, int status, double seconds);
+  void RecordRequest(std::string_view endpoint, int status, int64_t nanos);
 
   /// Records one dataset-scoped request (preview/suggest after dataset
   /// resolution) under egp_requests_total{dataset=,status=} plus a
   /// per-dataset latency histogram. Dataset names come from the catalog
   /// (a bounded set), so per-dataset series cannot explode.
-  void RecordDataset(std::string_view dataset, int status, double seconds);
+  void RecordDataset(std::string_view dataset, int status, int64_t nanos);
 
-  struct RequestCount {
-    std::string endpoint;
-    int status = 0;
-    uint64_t count = 0;
-  };
-  std::vector<RequestCount> request_counts() const;
-
-  struct DatasetCount {
-    std::string dataset;
-    int status = 0;
-    uint64_t count = 0;
-  };
-  std::vector<DatasetCount> dataset_counts() const;
-  std::vector<std::pair<std::string, LatencyHistogram::Snapshot>>
-  dataset_latency() const;
-
-  LatencyHistogram::Snapshot latency() const { return latency_.snapshot(); }
-  uint64_t total_requests() const;
-
-  /// The Prometheus exposition text for everything recorded here.
-  /// Caller appends its own gauges (Engine cache stats, connection
-  /// counters) via PrometheusText's helpers below.
-  std::string PrometheusText() const;
+  /// The request families, in exposition order. The dataset-scoped ones
+  /// appear once the first dataset request lands.
+  std::vector<MetricFamily> Families() const;
 
  private:
   mutable Mutex mu_{"metrics.requests"};
   std::map<std::pair<std::string, int>, uint64_t> counts_ EGP_GUARDED_BY(mu_);
   std::map<std::pair<std::string, int>, uint64_t> dataset_counts_
       EGP_GUARDED_BY(mu_);
-  // unique_ptr: LatencyHistogram is an array of atomics (immovable), and
+  // unique_ptr: a Histogram is an array of atomics (immovable), and
   // Observe() must run outside mu_ — the pointer is stable across
   // rehashing inserts of other datasets.
-  std::map<std::string, std::unique_ptr<LatencyHistogram>> dataset_latency_
+  std::map<std::string, std::unique_ptr<Histogram>> dataset_latency_
       EGP_GUARDED_BY(mu_);
-  LatencyHistogram latency_;
+  Histogram latency_;
 };
-
-/// Appends "# HELP name help" and "# TYPE name type" headers; tiny
-/// helpers so ad-hoc gauges (cache stats, uptime) format consistently.
-/// The exposition-grammar ctest rejects series missing either header.
-void AppendMetricHeader(std::string* out, std::string_view name,
-                        std::string_view type, std::string_view help);
-void AppendMetric(std::string* out, std::string_view name,
-                  std::string_view labels, double value);
-void AppendMetric(std::string* out, std::string_view name,
-                  std::string_view labels, uint64_t value);
-
-/// Appends one full histogram family (headers, per-bound `_bucket`
-/// samples, `+Inf`, `_sum`, `_count`) from a snapshot.
-void AppendHistogram(std::string* out, std::string_view name,
-                     std::string_view help,
-                     const LatencyHistogram::Snapshot& snap);
-
-/// Appends one labeled series of an already-headed histogram family:
-/// `_bucket{<label_prefix>,le=...}` samples plus `_sum`/`_count` carrying
-/// `label_prefix` (e.g. `dataset="paper"`). For families with one series
-/// per dataset/site: emit the header once (AppendMetricHeader, type
-/// histogram), then call this per label set.
-void AppendHistogramSamples(std::string* out, std::string_view name,
-                            std::string_view label_prefix,
-                            const LatencyHistogram::Snapshot& snap);
 
 }  // namespace egp
 

@@ -5,8 +5,10 @@
 // condition-variable wakeups, and deadline-based timed waits.
 #include "common/mutex.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -136,6 +138,36 @@ TEST(LockStatsTest, RegisterDedupsByName) {
   EXPECT_EQ(a, b);
 }
 
+// Racers registering one fresh name must all land in one slot;
+// otherwise /metrics emits duplicate site series.
+TEST(LockStatsTest, RacingRegistrationsOfOneNameShareASlot) {
+  static constexpr const char* kNames[] = {
+      "mutex_test.race0", "mutex_test.race1", "mutex_test.race2",
+      "mutex_test.race3", "mutex_test.race4", "mutex_test.race5",
+      "mutex_test.race6", "mutex_test.race7"};
+  constexpr int kThreads = 4;
+  for (const char* name : kNames) {
+    std::vector<LockSite*> slots(kThreads, nullptr);
+    std::atomic<int> arrived{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) std::this_thread::yield();
+        slots[t] = RegisterLockSite(name);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    ASSERT_NE(slots[0], nullptr);
+    for (LockSite* slot : slots) EXPECT_EQ(slot, slots[0]) << name;
+  }
+  std::set<std::string_view> seen;
+  for (const LockSiteSnapshot& snap : SnapshotLockSites()) {
+    EXPECT_TRUE(seen.insert(snap.name).second)
+        << "duplicate site " << snap.name;
+  }
+}
+
 TEST(LockStatsTest, LabeledMutexCountsAcquisitions) {
   LockSite* site = RegisterLockSite("mutex_test.acquisitions");
   ASSERT_NE(site, nullptr);
@@ -150,7 +182,7 @@ TEST(LockStatsTest, LabeledMutexCountsAcquisitions) {
 TEST(LockStatsTest, ContentionRecordsWaitHistogram) {
   LockSite* site = RegisterLockSite("mutex_test.contention");
   ASSERT_NE(site, nullptr);
-  const uint64_t contentions_before = site->contentions.load();
+  const uint64_t contentions_before = site->wait.snapshot().count();
   Mutex mu{"mutex_test.contention"};
   std::atomic<bool> held{false};
   std::thread holder([&] {
@@ -165,14 +197,16 @@ TEST(LockStatsTest, ContentionRecordsWaitHistogram) {
     MutexLock lock(&mu);
   }
   holder.join();
-  EXPECT_GE(site->contentions.load(), contentions_before + 1);
-  EXPECT_GT(site->wait_nanos.load(), 0u);
-  // The wait landed in exactly one histogram bucket per contention.
-  uint64_t bucket_total = 0;
-  for (size_t i = 0; i < kLockWaitBucketCount; ++i) {
-    bucket_total += site->wait_buckets[i].load();
-  }
-  EXPECT_EQ(bucket_total, site->contentions.load());
+  // Each contention is one observation of the wait histogram, and a
+  // ~20 ms wait lands above the 1 ms bound.
+  const Histogram::Snapshot wait = site->wait.snapshot();
+  EXPECT_GE(wait.count(), contentions_before + 1);
+  EXPECT_GT(wait.sum_seconds, 0.0);
+  const size_t one_ms = static_cast<size_t>(
+      std::find(kHistogramBoundsNanos.begin(), kHistogramBoundsNanos.end(),
+                1'000'000) -
+      kHistogramBoundsNanos.begin());
+  EXPECT_LT(wait.cumulative[one_ms], wait.count());
 }
 
 TEST(LockStatsTest, SnapshotCarriesSiteNames) {
@@ -189,7 +223,7 @@ TEST(LockStatsTest, RuntimeGateStopsWaitRecording) {
   LockSite* site = RegisterLockSite("mutex_test.gate");
   ASSERT_NE(site, nullptr);
   SetLockTelemetryEnabled(false);
-  const uint64_t contentions_before = site->contentions.load();
+  const uint64_t contentions_before = site->wait.snapshot().count();
   Mutex mu{"mutex_test.gate"};
   std::atomic<bool> held{false};
   std::thread holder([&] {
@@ -203,7 +237,7 @@ TEST(LockStatsTest, RuntimeGateStopsWaitRecording) {
   }
   holder.join();
   SetLockTelemetryEnabled(true);
-  EXPECT_EQ(site->contentions.load(), contentions_before);
+  EXPECT_EQ(site->wait.snapshot().count(), contentions_before);
 }
 
 TEST(CondVarTest, WaitUntilReturnsTrueWhenNotified) {

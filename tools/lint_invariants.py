@@ -3,7 +3,7 @@
 
 Scope: first-party C++ under src/, tools/, bench/ (tests are exempt —
 they deliberately poke at internals, e.g. raw sockets for misbehaving
-clients). Seven rule families, each born from a real bug class here:
+clients). Eight rule families, each born from a real bug class here:
 
   blocking-io   The event-loop serving core must never block on a
                 socket. The convenience blocking wrappers (SendAll,
@@ -49,6 +49,19 @@ clients). Seven rule families, each born from a real bug class here:
                 numbers with a `"%.<n>g"` literal or an
                 std::ostringstream. Other text formats (/metrics, the
                 Markdown report) keep their own formatting.
+
+  one-histogram
+                Every bucketed histogram in src/ is the one Histogram in
+                src/common/histogram.h, over its one log-spaced bound
+                table, and every histogram family on /metrics is written
+                by the one AppendHistogramSamples in
+                src/server/metrics.cc. A second scheme once gave request
+                latency a 500 µs floor that hid the whole warm path,
+                while lock waits used other bounds and their own
+                exposition loop. Outside those two places, src/ may not
+                spell an `le=` label literal, declare an array of
+                std::atomic<uint64_t> (buckets), or define a constexpr
+                `k...Bounds` table.
 
   layering      Modules form a DAG; an #include against the arrow
                 (core/ including server/, say) couples the algorithm
@@ -140,6 +153,22 @@ JSON_EMITTER_RE = re.compile(
 JSON_EMITTER_FORBIDDEN_RE = re.compile(r'"%\.\d+g"|\bstd::ostringstream\b')
 
 # ---------------------------------------------------------------------------
+# Rule: one-histogram
+# ---------------------------------------------------------------------------
+# Applies to src/ only. The histogram type owns the buckets and bounds;
+# the one exposition function (a function body, not its whole file)
+# owns the `le` label.
+HISTOGRAM_FILES = {"src/common/histogram.h", "src/common/histogram.cc"}
+HISTOGRAM_EXPOSITION_FILE = "src/server/metrics.cc"
+HISTOGRAM_EXPOSITION_FUNCTION = "AppendHistogramSamples"
+HISTOGRAM_FORBIDDEN_RE = re.compile(
+    r'\ble=\\?"'
+    r"|std::array\s*<\s*std::atomic\s*<\s*(?:std::)?uint64_t\s*>"
+    r"|std::atomic\s*<\s*(?:std::)?uint64_t\s*>\s*\w+\s*\["
+    r"|\bconstexpr\b.*\bk\w*Bounds\w*\s*[\[={]")
+STRING_LITERAL_RE = re.compile(r'"(?:\\.|[^"\\\n])*"')
+
+# ---------------------------------------------------------------------------
 # Rule: layering
 # ---------------------------------------------------------------------------
 # module -> modules it may #include from (first path component of a
@@ -173,6 +202,28 @@ def strip_comments(text: str) -> str:
     return "\n".join(line.split("//", 1)[0] for line in text.split("\n"))
 
 
+def function_body_lines(code: str, name: str) -> set:
+    """1-based line numbers spanned by the definition of `void name(...)`
+    in comment-stripped `code`; empty when there is none."""
+    match = re.search(rf"\bvoid\s+{name}\s*\(", code)
+    if match is None:
+        return set()
+    # Blank string literals so braces inside them are not counted.
+    text = STRING_LITERAL_RE.sub(lambda m: " " * len(m.group(0)), code)
+    depth = 0
+    for i in range(match.end(), len(text)):
+        if text[i] == ";" and depth == 0:
+            return set()  # a declaration
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                first = text.count("\n", 0, match.start()) + 1
+                return set(range(first, text.count("\n", 0, i) + 2))
+    return set()
+
+
 def scan_file(rel_path: str, findings: list) -> None:
     abs_path = os.path.join(REPO_ROOT, rel_path)
     with open(abs_path, encoding="utf-8") as f:
@@ -185,6 +236,11 @@ def scan_file(rel_path: str, findings: list) -> None:
     json_rules = (rel_path.startswith("src/")
                   and rel_path not in JSON_WRITER_FILES)
     json_emitter = json_rules and JSON_EMITTER_RE.search(code) is not None
+    histogram_rules = (rel_path.startswith("src/")
+                       and rel_path not in HISTOGRAM_FILES)
+    histogram_exempt = (
+        function_body_lines(code, HISTOGRAM_EXPOSITION_FUNCTION)
+        if rel_path == HISTOGRAM_EXPOSITION_FILE else set())
 
     for lineno, line in enumerate(lines, start=1):
         if rel_path not in BLOCKING_IO_ALLOWED:
@@ -228,6 +284,14 @@ def scan_file(rel_path: str, findings: list) -> None:
                     f"{rel_path}:{lineno}: [one-json-writer] "
                     f"`{m.group(0)}` starts a second JSON writer — emit "
                     f"JSON through JsonWriter (src/io/json_writer.h)")
+        if histogram_rules and lineno not in histogram_exempt:
+            m = HISTOGRAM_FORBIDDEN_RE.search(line)
+            if m:
+                findings.append(
+                    f"{rel_path}:{lineno}: [one-histogram] `{m.group(0)}` "
+                    f"starts a second histogram scheme — use Histogram "
+                    f"(src/common/histogram.h) and render it through "
+                    f"RenderMetricFamilies (src/server/metrics.h)")
         if module is not None:
             for inc in QUOTED_INCLUDE_RE.findall(line):
                 target = inc.split("/", 1)[0]
