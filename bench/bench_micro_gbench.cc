@@ -5,6 +5,7 @@
 
 #include "bench/bench_util.h"
 #include "core/apriori.h"
+#include "core/beam_search.h"
 #include "core/brute_force.h"
 #include "core/dynamic_programming.h"
 #include "core/frontier.h"
@@ -21,6 +22,14 @@ PreparedSchema PreparedMusic() {
   auto prepared =
       PreparedSchema::Create(MusicDomain().schema, MeasureSelection{},
                              &MusicDomain().graph);
+  EGP_CHECK(prepared.ok());
+  return std::move(prepared).value();
+}
+
+PreparedSchema PreparedFilm() {
+  const GeneratedDomain& film = bench::Domain("film");
+  auto prepared =
+      PreparedSchema::Create(film.schema, MeasureSelection{}, &film.graph);
   EGP_CHECK(prepared.ok());
   return std::move(prepared).value();
 }
@@ -159,6 +168,46 @@ void BM_ComposePreviewScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComposePreviewScore);
+
+// The discovery shapes of perfbench's discover_heavy workload on the film
+// schema (63 types): beam search under tight d=3 (arg 1 = 0) and diverse
+// d=2 (arg 1 = 1), and Apriori under diverse d. n = 12 throughout.
+void BM_BeamSearch(benchmark::State& state) {
+  const PreparedSchema prepared = PreparedFilm();
+  const SizeConstraint size{static_cast<uint32_t>(state.range(0)), 12};
+  const DistanceConstraint distance = state.range(1) == 0
+                                          ? DistanceConstraint::Tight(3)
+                                          : DistanceConstraint::Diverse(2);
+  DiscoveryStats stats;
+  for (auto _ : state) {
+    auto preview =
+        BeamSearchDiscover(prepared, size, distance, BeamSearchOptions{},
+                           &stats);
+    benchmark::DoNotOptimize(preview);
+  }
+  state.counters["subsets"] = static_cast<double>(stats.subsets_enumerated);
+}
+BENCHMARK(BM_BeamSearch)
+    ->ArgNames({"k", "diverse"})
+    ->Args({3, 0})
+    ->Args({4, 0})
+    ->Args({3, 1})
+    ->Args({4, 1});
+
+void BM_AprioriDiverse(benchmark::State& state) {
+  const PreparedSchema prepared = PreparedFilm();
+  const SizeConstraint size{3, 12};
+  const DistanceConstraint distance =
+      DistanceConstraint::Diverse(static_cast<uint32_t>(state.range(0)));
+  DiscoveryStats stats;
+  for (auto _ : state) {
+    auto preview = AprioriDiscover(prepared, size, distance,
+                                   AprioriOptions{}, &stats);
+    benchmark::DoNotOptimize(preview);
+  }
+  state.counters["subsets"] = static_cast<double>(stats.subsets_enumerated);
+}
+BENCHMARK(BM_AprioriDiverse)->ArgName("d")->Arg(2)->Arg(3);
 
 }  // namespace
 

@@ -4,12 +4,14 @@
 
 #include "common/strings.h"
 #include "core/compose.h"
+#include "core/key_pairs.h"
 
 namespace egp {
 namespace {
 
-/// Flat storage of fixed-arity sorted id tuples, lexicographically ordered
-/// by construction.
+/// Flat storage of fixed-arity sorted tuples of positions in
+/// KeyPairs::eligible(), lexicographically ordered by construction (the
+/// same order as their TypeIds, which ascend with the position).
 struct Level {
   uint32_t arity = 0;
   std::vector<uint32_t> flat;  // size = arity * count
@@ -33,35 +35,40 @@ Result<Preview> AprioriDiscover(const PreparedSchema& prepared,
                   size.n, k));
   }
 
-  std::vector<TypeId> eligible;
-  for (TypeId t = 0; t < prepared.num_types(); ++t) {
-    if (prepared.Eligible(t)) eligible.push_back(t);
-  }
-  if (eligible.size() < k) {
+  const KeyPairs pairs(prepared, distance);
+  if (pairs.size() < k) {
     return Status::NotFound(StrFormat(
-        "only %zu eligible key types, need k=%u", eligible.size(), k));
+        "only %u eligible key types, need k=%u", pairs.size(), k));
   }
 
   DiscoveryStats local_stats;
-  const SchemaDistanceMatrix& dist = prepared.distances();
-  auto pair_ok = [&](TypeId a, TypeId b) {
-    return distance.SatisfiedBy(dist.Distance(a, b));
+  // The level cap is checked before every emitted tuple, so no level ever
+  // holds more than max_level_size tuples.
+  auto full = [&options](const Level& l) {
+    return options.max_level_size != 0 &&
+           l.flat.size() >= options.max_level_size * l.arity;
+  };
+  auto too_large = [&options](uint32_t arity) {
+    return Status::OutOfRange(StrFormat(
+        "Apriori level %u exceeded max_level_size=%llu", arity,
+        static_cast<unsigned long long>(options.max_level_size)));
   };
 
-  // Build L_k level-wise. Tuples store TypeIds in increasing order; the
+  // Build L_k level-wise. Tuples store positions in increasing order; the
   // lexicographic order of `flat` is maintained by the join.
   Level level;
   if (k == 1) {
     level.arity = 1;
-    level.flat = eligible;
+    for (uint32_t i = 0; i < pairs.size(); ++i) level.flat.push_back(i);
   } else {
     // L2: all constraint-satisfying pairs.
     level.arity = 2;
-    for (size_t i = 0; i < eligible.size(); ++i) {
-      for (size_t j = i + 1; j < eligible.size(); ++j) {
-        if (pair_ok(eligible[i], eligible[j])) {
-          level.flat.push_back(eligible[i]);
-          level.flat.push_back(eligible[j]);
+    for (uint32_t i = 0; i < pairs.size(); ++i) {
+      for (uint32_t j = i + 1; j < pairs.size(); ++j) {
+        if (pairs.Compatible(i, j)) {
+          if (full(level)) return too_large(2);
+          level.flat.push_back(i);
+          level.flat.push_back(j);
         }
       }
     }
@@ -86,19 +93,14 @@ Result<Preview> AprioriDiscover(const PreparedSchema& prepared,
           for (size_t b = a + 1; b < block_end; ++b) {
             const uint32_t last_b = level.tuple(b)[arity - 2];
             // Tuples are sorted, so last_a < last_b within a block.
-            if (!pair_ok(last_a, last_b)) continue;
+            if (!pairs.Compatible(last_a, last_b)) continue;
+            if (full(next)) return too_large(arity);
             next.flat.insert(next.flat.end(), level.tuple(a),
                              level.tuple(a) + arity - 1);
             next.flat.push_back(last_b);
           }
         }
         block_start = block_end;
-        if (options.max_level_size != 0 &&
-            next.count() > options.max_level_size) {
-          return Status::OutOfRange(StrFormat(
-              "Apriori level %u exceeded max_level_size=%llu", arity,
-              static_cast<unsigned long long>(options.max_level_size)));
-        }
       }
       level = std::move(next);
     }
@@ -115,7 +117,7 @@ Result<Preview> AprioriDiscover(const PreparedSchema& prepared,
   std::vector<TypeId> keys(k);
   for (size_t idx = 0; idx < level.count(); ++idx) {
     const uint32_t* tuple = level.tuple(idx);
-    keys.assign(tuple, tuple + k);
+    for (uint32_t i = 0; i < k; ++i) keys[i] = pairs.eligible()[tuple[i]];
     ++local_stats.subsets_enumerated;
     ++local_stats.subsets_scored;
     const double score = ComposePreviewScore(prepared, keys, size.n);

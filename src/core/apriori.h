@@ -17,9 +17,11 @@
 namespace egp {
 
 struct AprioriOptions {
-  /// Abort if an intermediate level would exceed this many subsets
-  /// (0 = unlimited). Guards the degenerate constraints the paper flags
-  /// (tight with d near the diameter, diverse with tiny d).
+  /// Abort with OutOfRange before a level would hold more than this many
+  /// subsets (0 = unlimited); checked per emitted tuple, so no level ever
+  /// exceeds it. Guards the degenerate constraints the paper flags (tight
+  /// with d near the diameter, diverse with tiny d). Discover sets it to
+  /// kMaxAprioriLevelSize.
   uint64_t max_level_size = 0;
 };
 

@@ -1,22 +1,22 @@
 #include "core/beam_search.h"
 
 #include <algorithm>
-#include <set>
+#include <bit>
+#include <numeric>
 
 #include "common/strings.h"
 #include "core/compose.h"
+#include "core/key_pairs.h"
 
 namespace egp {
 namespace {
 
-struct Partial {
-  std::vector<TypeId> keys;  // strictly increasing
-  double score = 0.0;        // optimistic ComposePreviewScore
+/// A scored tuple of the level being built: its position in the level's
+/// flat tuple array.
+struct Ranked {
+  double score;  // optimistic ComposePreviewScore
+  uint32_t index;
 };
-
-}  // namespace
-
-namespace {
 
 Result<Preview> BeamSearchAttempt(const PreparedSchema& prepared,
                                   const SizeConstraint& size,
@@ -34,89 +34,127 @@ Result<Preview> BeamSearchAttempt(const PreparedSchema& prepared,
     return Status::InvalidArgument("beam_width must be positive");
   }
 
-  std::vector<TypeId> eligible;
-  for (TypeId t = 0; t < prepared.num_types(); ++t) {
-    if (prepared.Eligible(t)) eligible.push_back(t);
-  }
-  if (eligible.size() < k) {
+  const KeyPairs pairs(prepared, distance);
+  const uint32_t num_eligible = pairs.size();
+  if (num_eligible < k) {
     return Status::NotFound(StrFormat(
-        "only %zu eligible key types, need k=%u", eligible.size(), k));
+        "only %u eligible key types, need k=%u", num_eligible, k));
   }
 
   DiscoveryStats local_stats;
-  const SchemaDistanceMatrix& dist = prepared.distances();
 
-  // Level 1: all singletons (sorted by score, trimmed to the beam).
-  std::vector<Partial> beam;
-  for (TypeId t : eligible) {
-    Partial partial;
-    partial.keys = {t};
-    partial.score = ComposePreviewScore(prepared, partial.keys, size.n);
-    ++local_stats.subsets_enumerated;
-    beam.push_back(std::move(partial));
-  }
-  auto trim = [&options](std::vector<Partial>* level) {
-    std::sort(level->begin(), level->end(),
-              [](const Partial& a, const Partial& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.keys < b.keys;  // deterministic tie-break
-              });
-    if (level->size() > options.beam_width) {
-      level->resize(options.beam_width);
+  // Every level lives in flat arrays of `arity`-long strictly increasing
+  // tuples of positions in pairs.eligible() (whose TypeIds ascend with the
+  // position, so tuples order as their key sets do): `level` holds the
+  // candidates being built, `beam` the kept ones, best first. The buffers
+  // are reused across levels.
+  uint32_t arity = 1;
+  std::vector<uint32_t> level(num_eligible);
+  std::iota(level.begin(), level.end(), 0u);
+  std::vector<uint32_t> beam;
+  std::vector<uint32_t> order;
+  std::vector<Ranked> ranked;
+  std::vector<uint64_t> extensions(pairs.words());
+  std::vector<TypeId> keys;  // scoring argument
+  auto tuple = [&](uint32_t index) { return &level[size_t{index} * arity]; };
+  auto to_keys = [&](const uint32_t* positions, uint32_t count) {
+    keys.resize(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      keys[i] = pairs.eligible()[positions[i]];
     }
   };
-  // Level 1 is kept untrimmed: under sparse constraints (e.g. diverse
-  // with large d) the feasible sets often avoid the highest-scoring
-  // types, and trimming singletons would lose feasibility entirely. The
-  // beam narrows from level 2 on.
-  std::sort(beam.begin(), beam.end(), [](const Partial& a, const Partial& b) {
+  auto score = [&](uint32_t index) {
+    to_keys(tuple(index), arity);
+    ++local_stats.subsets_enumerated;
+    return ComposePreviewScore(prepared, keys, size.n);
+  };
+  // Score descending, then keys ascending: a total order on distinct
+  // tuples, so the kept beam is deterministic.
+  auto better = [&](const Ranked& a, const Ranked& b) {
     if (a.score != b.score) return a.score > b.score;
-    return a.keys < b.keys;
-  });
+    return std::lexicographical_compare(tuple(a.index), tuple(a.index) + arity,
+                                        tuple(b.index),
+                                        tuple(b.index) + arity);
+  };
+  // Keeps the best `width` ranked tuples of `level`, in order, as the beam.
+  auto keep = [&](size_t width) {
+    width = std::min(width, ranked.size());
+    std::partial_sort(ranked.begin(), ranked.begin() + width, ranked.end(),
+                      better);
+    beam.clear();
+    for (size_t i = 0; i < width; ++i) {
+      beam.insert(beam.end(), tuple(ranked[i].index),
+                  tuple(ranked[i].index) + arity);
+    }
+  };
 
-  std::set<std::vector<TypeId>> seen;
-  for (uint32_t level = 2; level <= k; ++level) {
-    std::vector<Partial> next;
-    seen.clear();
-    for (const Partial& partial : beam) {
-      // Extend with every compatible type; canonical (sorted) key sets
-      // deduplicate extensions reached from different beam entries.
-      for (TypeId t : eligible) {
-        if (std::binary_search(partial.keys.begin(), partial.keys.end(), t)) {
-          continue;
+  // Level 1: all singletons. Level 1 is kept untrimmed: under sparse
+  // constraints (e.g. diverse with large d) the feasible sets often avoid
+  // the highest-scoring types, and trimming singletons would lose
+  // feasibility entirely. The beam narrows from level 2 on.
+  for (uint32_t i = 0; i < num_eligible; ++i) {
+    ranked.push_back(Ranked{score(i), i});
+  }
+  keep(ranked.size());
+
+  for (arity = 2; arity <= k; ++arity) {
+    // Extend every kept partial with every type compatible with all of its
+    // members (the AND of their rows), writing each extension as a sorted
+    // tuple.
+    level.clear();
+    const uint32_t partial_arity = arity - 1;
+    for (size_t offset = 0; offset < beam.size(); offset += partial_arity) {
+      const uint32_t* partial = &beam[offset];
+      const uint32_t* partial_end = partial + partial_arity;
+      std::copy_n(pairs.Row(partial[0]), pairs.words(), extensions.begin());
+      for (const uint32_t* member = partial + 1; member != partial_end;
+           ++member) {
+        const uint64_t* row = pairs.Row(*member);
+        for (size_t w = 0; w < pairs.words(); ++w) extensions[w] &= row[w];
+      }
+      for (const uint32_t* member = partial; member != partial_end; ++member) {
+        extensions[*member / 64] &= ~(uint64_t{1} << (*member % 64));
+      }
+      for (size_t w = 0; w < pairs.words(); ++w) {
+        for (uint64_t bits = extensions[w]; bits != 0; bits &= bits - 1) {
+          const uint32_t t =
+              static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+          const uint32_t* split = std::lower_bound(partial, partial_end, t);
+          level.insert(level.end(), partial, split);
+          level.push_back(t);
+          level.insert(level.end(), split, partial_end);
         }
-        bool satisfies = true;
-        for (TypeId existing : partial.keys) {
-          if (!distance.SatisfiedBy(dist.Distance(existing, t))) {
-            satisfies = false;
-            break;
-          }
-        }
-        if (!satisfies) continue;
-        Partial extended;
-        extended.keys = partial.keys;
-        extended.keys.insert(
-            std::lower_bound(extended.keys.begin(), extended.keys.end(), t),
-            t);
-        if (!seen.insert(extended.keys).second) continue;
-        extended.score =
-            ComposePreviewScore(prepared, extended.keys, size.n);
-        ++local_stats.subsets_enumerated;
-        next.push_back(std::move(extended));
       }
     }
-    if (next.empty()) {
+
+    // Extensions reached from different partials are one key set: sort the
+    // tuples, drop repeats, and score each distinct tuple once.
+    order.resize(level.size() / arity);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return std::lexicographical_compare(tuple(a), tuple(a) + arity,
+                                          tuple(b), tuple(b) + arity);
+    });
+    order.erase(std::unique(order.begin(), order.end(),
+                            [&](uint32_t a, uint32_t b) {
+                              return std::equal(tuple(a), tuple(a) + arity,
+                                                tuple(b));
+                            }),
+                order.end());
+    if (order.empty()) {
       if (stats != nullptr) *stats = local_stats;
       return Status::NotFound(
           "beam search found no k-subset satisfying the constraint");
     }
-    trim(&next);
-    beam = std::move(next);
+    ranked.clear();
+    for (uint32_t index : order) ranked.push_back(Ranked{score(index), index});
+    keep(options.beam_width);
   }
 
   local_stats.subsets_scored = local_stats.subsets_enumerated;
   if (stats != nullptr) *stats = local_stats;
-  return ComposePreview(prepared, beam.front().keys, size.n);
+  to_keys(beam.data(), k);
+  return ComposePreview(prepared, keys, size.n);
 }
 
 }  // namespace

@@ -10,6 +10,15 @@
 // stays fast exactly where Apriori degenerates (diverse d=2, tight d near
 // the diameter); the trade is optimality, quantified by
 // bench_ablation_beam.
+//
+// Each level is built in flat arrays of sorted key tuples, not one vector
+// per partial: the extensions of every kept partial (the types compatible
+// with all its members, from one KeyPairs bit matrix) are written as
+// tuples, deduplicated by sort + unique, scored once each, and the best
+// beam_width kept by partial_sort on (score desc, keys asc). Level 1 keeps
+// every singleton, so level 2 scores at most C(eligible, 2) pairs and
+// every later level at most beam_width × eligible tuples; widening repeats
+// the search at most log4(max_beam_width / beam_width) + 1 times.
 #ifndef EGP_CORE_BEAM_SEARCH_H_
 #define EGP_CORE_BEAM_SEARCH_H_
 

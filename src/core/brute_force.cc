@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/strings.h"
+#include "core/key_pairs.h"
 
 namespace egp {
 
@@ -21,17 +22,14 @@ Result<Preview> BruteForceDiscover(const PreparedSchema& prepared,
 
   // Only types with at least one candidate non-key attribute can key a
   // table (Def. 1).
-  std::vector<TypeId> eligible;
-  for (TypeId t = 0; t < prepared.num_types(); ++t) {
-    if (prepared.Eligible(t)) eligible.push_back(t);
-  }
+  const KeyPairs pairs(prepared, distance);
+  const std::vector<TypeId>& eligible = pairs.eligible();
   if (eligible.size() < k) {
     return Status::NotFound(StrFormat(
         "only %zu eligible key types, need k=%u", eligible.size(), k));
   }
 
   DiscoveryStats local_stats;
-  const SchemaDistanceMatrix& dist = prepared.distances();
 
   double best_score = -1.0;
   std::vector<TypeId> best_keys;
@@ -40,18 +38,16 @@ Result<Preview> BruteForceDiscover(const PreparedSchema& prepared,
   // Alg. 1: each complete subset is distance-checked pairwise, no pruning
   // during enumeration).
   const size_t pool = eligible.size();
-  std::vector<size_t> index(k);
+  std::vector<uint32_t> index(k);
   for (uint32_t i = 0; i < k; ++i) index[i] = i;
   std::vector<TypeId> keys(k);
   bool done = false;
   while (!done) {
     ++local_stats.subsets_enumerated;
-    for (uint32_t i = 0; i < k; ++i) keys[i] = eligible[index[i]];
-
     bool satisfies = true;
     for (uint32_t i = 0; i < k && satisfies; ++i) {
       for (uint32_t j = i + 1; j < k; ++j) {
-        if (!distance.SatisfiedBy(dist.Distance(keys[i], keys[j]))) {
+        if (!pairs.Compatible(index[i], index[j])) {
           satisfies = false;
           break;
         }
@@ -59,6 +55,7 @@ Result<Preview> BruteForceDiscover(const PreparedSchema& prepared,
     }
     if (satisfies) {
       ++local_stats.subsets_scored;
+      for (uint32_t i = 0; i < k; ++i) keys[i] = eligible[index[i]];
       const double score = ComposePreviewScore(prepared, keys, size.n);
       if (score > best_score) {
         best_score = score;

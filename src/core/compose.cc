@@ -1,8 +1,5 @@
 #include "core/compose.h"
 
-#include <algorithm>
-#include <queue>
-
 #include "common/strings.h"
 
 namespace egp {
@@ -11,19 +8,99 @@ namespace {
 /// Merge cursor over one type's sorted candidate list, starting after the
 /// mandatory top-1 attribute.
 struct Cursor {
-  size_t table_index;  // position within `keys`
+  const TypeCandidates* cands;
+  double key_score;      // S(type)
+  double weighted;       // S(type) * candidate score — the marginal gain
+  uint32_t table_index;  // position within `keys`
   TypeId type;
-  size_t next;         // next candidate index in Candidates(type).sorted
-  double weighted;     // S(type) * candidate score — the marginal gain
+  uint32_t next;  // next candidate index in cands->sorted
 
+  /// The merge takes the largest cursor first; ties break on (type, next)
+  /// for determinism. Written without branches: the max-pick's outcome is
+  /// data-dependent, and a mispredicted branch costs more than evaluating
+  /// every term.
   bool operator<(const Cursor& other) const {
-    // std::priority_queue is a max-heap on operator<; tie-break on
-    // (type, next) for determinism.
-    if (weighted != other.weighted) return weighted < other.weighted;
-    if (type != other.type) return type > other.type;
-    return next > other.next;
+    const bool same_weight = weighted == other.weighted;
+    const bool same_type = type == other.type;
+    return (weighted < other.weighted) |
+           (same_weight & ((type > other.type) |
+                           (same_type & (next > other.next))));
   }
 };
+
+/// The live cursors: at most one per key, held inline for up to
+/// kComposeInlineKeys keys and in one spill buffer past that. A linear
+/// max-pick over them pops in the same order a max-heap would.
+class CursorSet {
+ public:
+  explicit CursorSet(size_t k) {
+    if (k > kComposeInlineKeys) {
+      spill_.resize(k);
+      data_ = spill_.data();
+    }
+  }
+  CursorSet(const CursorSet&) = delete;
+  CursorSet& operator=(const CursorSet&) = delete;
+
+  bool empty() const { return size_ == 0; }
+  void Add(const Cursor& cursor) { data_[size_++] = cursor; }
+
+  /// The largest cursor under operator<.
+  Cursor& Max() {
+    size_t best = 0;
+    for (size_t i = 1; i < size_; ++i) {
+      best = data_[best] < data_[i] ? i : best;
+    }
+    return data_[best];
+  }
+
+  /// Moves `cursor` (one returned by Max) to its next candidate, dropping
+  /// it once its list is exhausted.
+  void Advance(Cursor& cursor) {
+    const uint32_t next = cursor.next + 1;
+    if (next < cursor.cands->sorted.size()) {
+      cursor.next = next;
+      cursor.weighted = cursor.key_score * cursor.cands->sorted[next].score;
+    } else {
+      cursor = data_[--size_];
+    }
+  }
+
+ private:
+  Cursor inline_[kComposeInlineKeys];
+  std::vector<Cursor> spill_;
+  Cursor* data_ = inline_;
+  size_t size_ = 0;
+};
+
+/// Theorem 3's merge over `keys` with n attributes in total: every table
+/// takes its top candidate (`top1(i, candidate)`, in key order), then the
+/// remaining n−k slots go to the globally best weighted candidates
+/// (`pick(table_index, candidate, weighted)`, best first). Returns the
+/// position of the first key without candidates, or keys.size().
+template <typename Top1, typename Pick>
+size_t Merge(const PreparedSchema& prepared, const std::vector<TypeId>& keys,
+             uint32_t n, Top1&& top1, Pick&& pick) {
+  const uint32_t k = static_cast<uint32_t>(keys.size());
+  CursorSet cursors(k);
+  for (uint32_t i = 0; i < k; ++i) {
+    const TypeId t = keys[i];
+    const TypeCandidates& cands = prepared.Candidates(t);
+    if (cands.sorted.empty()) return i;
+    const double key_score = prepared.KeyScore(t);
+    top1(i, cands.sorted[0]);
+    if (cands.sorted.size() > 1) {
+      cursors.Add(Cursor{&cands, key_score, key_score * cands.sorted[1].score,
+                         i, t, 1});
+    }
+  }
+  for (uint32_t slot = 0; slot < n - k && !cursors.empty(); ++slot) {
+    Cursor& top = cursors.Max();
+    pick(top.table_index, top.cands->sorted[top.next], top.weighted);
+    cursors.Advance(top);
+  }
+  return k;
+}
 
 }  // namespace
 
@@ -38,34 +115,19 @@ Result<Preview> ComposePreview(const PreparedSchema& prepared,
 
   Preview preview;
   preview.tables.resize(k);
-  std::priority_queue<Cursor> heap;
-  for (uint32_t i = 0; i < k; ++i) {
-    const TypeId t = keys[i];
-    const TypeCandidates& cands = prepared.Candidates(t);
-    if (cands.sorted.empty()) {
-      return Status::FailedPrecondition(
-          StrFormat("type '%s' has no candidate non-key attributes",
-                    prepared.schema().TypeName(t).c_str()));
-    }
-    preview.tables[i].key = t;
-    preview.tables[i].nonkeys.push_back(cands.sorted[0]);  // Theorem 3 top-1
-    if (cands.sorted.size() > 1) {
-      heap.push(Cursor{i, t, 1,
-                       prepared.KeyScore(t) * cands.sorted[1].score});
-    }
-  }
-
-  // Fill the remaining n−k slots with the globally best weighted candidates.
-  for (uint32_t slot = 0; slot < n - k && !heap.empty(); ++slot) {
-    Cursor top = heap.top();
-    heap.pop();
-    const TypeCandidates& cands = prepared.Candidates(top.type);
-    preview.tables[top.table_index].nonkeys.push_back(cands.sorted[top.next]);
-    const size_t next = top.next + 1;
-    if (next < cands.sorted.size()) {
-      heap.push(Cursor{top.table_index, top.type, next,
-                       prepared.KeyScore(top.type) * cands.sorted[next].score});
-    }
+  for (uint32_t i = 0; i < k; ++i) preview.tables[i].key = keys[i];
+  const size_t missing = Merge(
+      prepared, keys, n,
+      [&](uint32_t i, const NonKeyCandidate& candidate) {
+        preview.tables[i].nonkeys.push_back(candidate);  // Theorem 3 top-1
+      },
+      [&](uint32_t i, const NonKeyCandidate& candidate, double) {
+        preview.tables[i].nonkeys.push_back(candidate);
+      });
+  if (missing < k) {
+    return Status::FailedPrecondition(
+        StrFormat("type '%s' has no candidate non-key attributes",
+                  prepared.schema().TypeName(keys[missing]).c_str()));
   }
   return preview;
 }
@@ -76,29 +138,15 @@ double ComposePreviewScore(const PreparedSchema& prepared,
   if (k == 0 || n < k) return -1.0;
 
   double score = 0.0;
-  std::priority_queue<Cursor> heap;
-  for (uint32_t i = 0; i < k; ++i) {
-    const TypeId t = keys[i];
-    const TypeCandidates& cands = prepared.Candidates(t);
-    if (cands.sorted.empty()) return -1.0;
-    score += prepared.KeyScore(t) * cands.sorted[0].score;
-    if (cands.sorted.size() > 1) {
-      heap.push(Cursor{i, t, 1,
-                       prepared.KeyScore(t) * cands.sorted[1].score});
-    }
-  }
-  for (uint32_t slot = 0; slot < n - k && !heap.empty(); ++slot) {
-    Cursor top = heap.top();
-    heap.pop();
-    score += top.weighted;
-    const TypeCandidates& cands = prepared.Candidates(top.type);
-    const size_t next = top.next + 1;
-    if (next < cands.sorted.size()) {
-      heap.push(Cursor{top.table_index, top.type, next,
-                       prepared.KeyScore(top.type) * cands.sorted[next].score});
-    }
-  }
-  return score;
+  const size_t missing = Merge(
+      prepared, keys, n,
+      [&](uint32_t i, const NonKeyCandidate& candidate) {
+        score += prepared.KeyScore(keys[i]) * candidate.score;
+      },
+      [&](uint32_t, const NonKeyCandidate&, double weighted) {
+        score += weighted;
+      });
+  return missing < k ? -1.0 : score;
 }
 
 }  // namespace egp

@@ -1,10 +1,30 @@
 #include "core/discover.h"
 
+#include <algorithm>
+
+#include "common/strings.h"
 #include "core/apriori.h"
 #include "core/beam_search.h"
 #include "core/dynamic_programming.h"
 
 namespace egp {
+namespace {
+
+/// C(n, k), or cap + 1 once it exceeds `cap`.
+uint64_t BinomialCapped(uint64_t n, uint64_t k, uint64_t cap) {
+  if (k > n) return 0;
+  k = std::min(k, n - k);
+  uint64_t c = 1;
+  for (uint64_t i = 1; i <= k; ++i) {
+    // Exact at every step: c becomes C(n - k + i, i). c <= cap before the
+    // multiply and n < 2^32 (TypeIds are 32-bit), so the product fits.
+    c = c * (n - k + i) / i;
+    if (c > cap) return cap + 1;
+  }
+  return c;
+}
+
+}  // namespace
 
 Result<std::string> CanonicalAlgorithmName(const std::string& name) {
   if (name == "auto" || name == "bf" || name == "dp" || name == "apriori" ||
@@ -29,6 +49,18 @@ Result<Preview> Discover(const PreparedSchema& prepared,
   }
   if (resolved != nullptr) *resolved = name;
   if (name == "bf") {
+    uint64_t eligible = 0;
+    for (TypeId t = 0; t < prepared.num_types(); ++t) {
+      eligible += prepared.Eligible(t) ? 1 : 0;
+    }
+    if (BinomialCapped(eligible, size.k, kMaxBruteForceSubsets) >
+        kMaxBruteForceSubsets) {
+      return Status::OutOfRange(StrFormat(
+          "brute force over k=%u of %llu key types exceeds %llu subsets; "
+          "use apriori or beam",
+          size.k, static_cast<unsigned long long>(eligible),
+          static_cast<unsigned long long>(kMaxBruteForceSubsets)));
+    }
     return BruteForceDiscover(prepared, size, distance, BruteForceOptions{},
                               stats);
   }
@@ -41,7 +73,9 @@ Result<Preview> Discover(const PreparedSchema& prepared,
     return DynamicProgrammingDiscover(prepared, size);
   }
   if (name == "apriori") {
-    return AprioriDiscover(prepared, size, distance, AprioriOptions{}, stats);
+    AprioriOptions options;
+    options.max_level_size = kMaxAprioriLevelSize;
+    return AprioriDiscover(prepared, size, distance, options, stats);
   }
   return BeamSearchDiscover(prepared, size, distance, BeamSearchOptions{},
                             stats);

@@ -8,6 +8,7 @@
 #ifndef EGP_CORE_DISCOVER_H_
 #define EGP_CORE_DISCOVER_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -16,6 +17,14 @@
 #include "core/preview.h"
 
 namespace egp {
+
+/// Work caps of one Discover call; no request can lift them. Brute force
+/// is refused with OutOfRange before it starts when the number of
+/// k-subsets of eligible key types exceeds kMaxBruteForceSubsets, and
+/// Apriori stops with OutOfRange once one level would hold more than
+/// kMaxAprioriLevelSize tuples.
+inline constexpr uint64_t kMaxBruteForceSubsets = 4'000'000;
+inline constexpr uint64_t kMaxAprioriLevelSize = 1'000'000;
 
 /// Canonical spelling of an algorithm name: "auto", "bf" (brute force;
 /// "bruteforce" is accepted), "dp" (dynamic programming), "apriori",

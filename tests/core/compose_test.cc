@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+
+#include "common/rng.h"
 #include "datagen/paper_example.h"
+#include "tests/testing/random_schema.h"
 
 namespace egp {
 namespace {
@@ -138,6 +142,138 @@ TEST_F(ComposeTest, ExhaustiveCrossCheckOnSmallInstance) {
     best = std::max(best, score);
   }
   EXPECT_NEAR(ComposePreviewScore(*prepared_, keys, n), best, 1e-9);
+}
+
+// The max-heap merge ComposePreview used before its cursors became a fixed
+// array: the reference the allocation-free merge must match bit for bit.
+struct ReferenceCursor {
+  size_t table_index;
+  TypeId type;
+  size_t next;
+  double weighted;
+
+  bool operator<(const ReferenceCursor& other) const {
+    if (weighted != other.weighted) return weighted < other.weighted;
+    if (type != other.type) return type > other.type;
+    return next > other.next;
+  }
+};
+
+/// Score and per-table non-key counts of the heap merge; score < 0 when
+/// infeasible.
+struct ReferenceResult {
+  double score = -1.0;
+  std::vector<size_t> nonkeys;
+};
+
+ReferenceResult ReferenceCompose(const PreparedSchema& prepared,
+                                 const std::vector<TypeId>& keys,
+                                 uint32_t n) {
+  const uint32_t k = static_cast<uint32_t>(keys.size());
+  ReferenceResult result;
+  if (k == 0 || n < k) return result;
+  double score = 0.0;
+  std::vector<size_t> nonkeys(k, 1);
+  std::priority_queue<ReferenceCursor> heap;
+  for (uint32_t i = 0; i < k; ++i) {
+    const TypeId t = keys[i];
+    const TypeCandidates& cands = prepared.Candidates(t);
+    if (cands.sorted.empty()) return result;
+    score += prepared.KeyScore(t) * cands.sorted[0].score;
+    if (cands.sorted.size() > 1) {
+      heap.push(ReferenceCursor{i, t, 1,
+                                prepared.KeyScore(t) * cands.sorted[1].score});
+    }
+  }
+  for (uint32_t slot = 0; slot < n - k && !heap.empty(); ++slot) {
+    ReferenceCursor top = heap.top();
+    heap.pop();
+    score += top.weighted;
+    ++nonkeys[top.table_index];
+    const TypeCandidates& cands = prepared.Candidates(top.type);
+    const size_t next = top.next + 1;
+    if (next < cands.sorted.size()) {
+      heap.push(ReferenceCursor{
+          top.table_index, top.type, next,
+          prepared.KeyScore(top.type) * cands.sorted[next].score});
+    }
+  }
+  result.score = score;
+  result.nonkeys = std::move(nonkeys);
+  return result;
+}
+
+TEST(ComposeOracleTest, BitIdenticalToHeapMerge) {
+  const uint32_t max_k = static_cast<uint32_t>(kComposeInlineKeys) + 3;
+  size_t compared = 0;
+  size_t single_candidate_sets = 0;
+  size_t spilled = 0;  // key sets past the inline cursor capacity
+  for (uint64_t seed = 500; seed < 530; ++seed) {
+    // Sparse schemas: many types end up with a single candidate. Coverage
+    // scores tie often (exercising the tie-break); random-walk key scores
+    // are inexact, so a changed addition order would change the bits.
+    const SchemaGraph schema =
+        testing_util::RandomSchemaGraph(seed, 18, 14 + seed % 12);
+    MeasureSelection measures;
+    if (seed % 2 == 1) measures.key = "randomwalk";
+    auto prepared = PreparedSchema::Create(schema, measures);
+    ASSERT_TRUE(prepared.ok());
+    std::vector<TypeId> eligible;
+    for (TypeId t = 0; t < prepared->num_types(); ++t) {
+      if (prepared->Eligible(t)) eligible.push_back(t);
+    }
+    const uint32_t total =
+        static_cast<uint32_t>(prepared->TotalCandidates());
+    Rng rng(seed);
+    for (uint32_t k = 1; k <= max_k && k <= eligible.size(); ++k) {
+      // Keys in random order: the top-1s are summed in key order.
+      std::vector<TypeId> keys = eligible;
+      rng.Shuffle(&keys);
+      keys.resize(k);
+      for (TypeId t : keys) {
+        if (prepared->Candidates(t).size() == 1) {
+          ++single_candidate_sets;
+          break;
+        }
+      }
+      for (uint32_t n = k; n <= total + 2; ++n) {
+        const ReferenceResult expected = ReferenceCompose(*prepared, keys, n);
+        EXPECT_EQ(ComposePreviewScore(*prepared, keys, n), expected.score)
+            << "seed=" << seed << " k=" << k << " n=" << n;
+        const auto preview = ComposePreview(*prepared, keys, n);
+        ASSERT_TRUE(preview.ok());
+        ASSERT_EQ(preview->tables.size(), k);
+        for (uint32_t i = 0; i < k; ++i) {
+          EXPECT_EQ(preview->tables[i].key, keys[i]);
+          EXPECT_EQ(preview->tables[i].nonkeys.size(), expected.nonkeys[i])
+              << "seed=" << seed << " k=" << k << " n=" << n << " i=" << i;
+        }
+        ++compared;
+        if (k > kComposeInlineKeys) ++spilled;
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(single_candidate_sets, 0u);
+  EXPECT_GT(spilled, 0u);
+}
+
+TEST(ComposeOracleTest, InfeasibleMatchesHeapMerge) {
+  SchemaGraph schema;
+  schema.AddType("A", 1);
+  schema.AddType("ISOLATED", 1);
+  schema.AddType("B", 1);
+  schema.AddEdge("r", 0, 2, 1);
+  auto prepared = PreparedSchema::Create(schema, MeasureSelection{});
+  ASSERT_TRUE(prepared.ok());
+  for (const std::vector<TypeId>& keys :
+       {std::vector<TypeId>{}, std::vector<TypeId>{0, 1},
+        std::vector<TypeId>{1}, std::vector<TypeId>{0, 2}}) {
+    for (uint32_t n = 0; n <= 4; ++n) {
+      EXPECT_EQ(ComposePreviewScore(*prepared, keys, n),
+                ReferenceCompose(*prepared, keys, n).score);
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "common/profiler.h"
 #include "datagen/paper_example.h"
+#include "graph/entity_graph_builder.h"
 #include "io/json_export.h"
 
 namespace egp {
@@ -229,6 +230,63 @@ TEST(PreviewServiceTest, ErrorStatuses) {
   EXPECT_EQ(service.Handle(Get("/v1/preview")).status, 405);
   EXPECT_EQ(service.Handle(Post("/healthz", "{}")).status, 405);
   EXPECT_EQ(service.Handle(Get("/wat")).status, 404);
+}
+
+// 40 key types on a chain T0 - T1 - ... - T39: every distinct pair is at
+// distance >= 1, so diverse d=1 admits every subset.
+PreviewService MakeChainService() {
+  constexpr int kTypes = 40;
+  EntityGraphBuilder builder;
+  std::vector<EntityId> entities;
+  for (int t = 0; t < kTypes; ++t) {
+    entities.push_back(builder.AddTypedEntity("e" + std::to_string(t),
+                                              "T" + std::to_string(t)));
+  }
+  for (int t = 0; t + 1 < kTypes; ++t) {
+    const RelTypeId rel = builder.AddRelationshipType(
+        "r" + std::to_string(t), static_cast<TypeId>(t),
+        static_cast<TypeId>(t + 1));
+    EXPECT_TRUE(builder.AddEdge(entities[t], rel, entities[t + 1]).ok());
+  }
+  auto graph = builder.Build();
+  EXPECT_TRUE(graph.ok());
+  std::vector<std::pair<std::string, Engine>> engines;
+  engines.emplace_back("chain", Engine::FromGraph(std::move(graph).value()));
+  auto catalog = DatasetCatalog::FromEngines(std::move(engines));
+  EXPECT_TRUE(catalog.ok());
+  return PreviewService(std::move(catalog).value(), "test");
+}
+
+TEST(PreviewServiceTest, DiscoveryWorkIsBoundedPerRequest) {
+  PreviewService service = MakeChainService();
+  // C(40, 10) ~ 8.5e8 subsets: brute force is refused before it starts,
+  // and Apriori under diverse d=1 stops at its level cap (C(40, 6) ~ 3.8e6
+  // tuples would come next), both with 400.
+  const auto start = std::chrono::steady_clock::now();
+  const HttpResponse bf = service.Handle(
+      Post("/v1/preview", R"({"dataset":"chain","k":10,"algorithm":"bf"})"));
+  EXPECT_EQ(bf.status, 400) << bf.body;
+  EXPECT_NE(bf.body.find("exceeds"), std::string::npos) << bf.body;
+  const HttpResponse apriori = service.Handle(Post(
+      "/v1/preview",
+      R"({"dataset":"chain","k":10,"n":10,"algorithm":"apriori","diverse":1})"));
+  EXPECT_EQ(apriori.status, 400) << apriori.body;
+  EXPECT_NE(apriori.body.find("max_level_size"), std::string::npos)
+      << apriori.body;
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+
+  // Below the caps the same algorithms still serve.
+  EXPECT_EQ(service
+                .Handle(Post("/v1/preview",
+                             R"({"dataset":"chain","k":3,"algorithm":"bf"})"))
+                .status,
+            200);
+  EXPECT_EQ(service
+                .Handle(Post("/v1/preview",
+                             R"({"dataset":"chain","k":4,"n":4,)"
+                             R"("algorithm":"apriori","diverse":1})"))
+                .status,
+            200);
 }
 
 TEST(PreviewServiceTest, MetricsReflectServedRequests) {
