@@ -11,6 +11,7 @@
 #include "core/frontier.h"
 #include "graph/frozen_graph.h"
 #include "graph/schema_distance.h"
+#include "tests/testing/random_schema.h"
 
 namespace {
 
@@ -186,6 +187,7 @@ void BM_BeamSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(preview);
   }
   state.counters["subsets"] = static_cast<double>(stats.subsets_enumerated);
+  state.counters["scored"] = static_cast<double>(stats.subsets_scored);
 }
 BENCHMARK(BM_BeamSearch)
     ->ArgNames({"k", "diverse"})
@@ -206,8 +208,73 @@ void BM_AprioriDiverse(benchmark::State& state) {
     benchmark::DoNotOptimize(preview);
   }
   state.counters["subsets"] = static_cast<double>(stats.subsets_enumerated);
+  state.counters["scored"] = static_cast<double>(stats.subsets_scored);
 }
 BENCHMARK(BM_AprioriDiverse)->ArgName("d")->Arg(2)->Arg(3);
+
+// The k = 4 film shapes perfbench's discover_heavy leaves out for their
+// cost: Apriori under diverse d=2 (arg 1 = 1) and tight d=3 (arg 1 = 0),
+// n = 12.
+void BM_AprioriFilmK4(benchmark::State& state) {
+  const PreparedSchema prepared = PreparedFilm();
+  const SizeConstraint size{4, 12};
+  const DistanceConstraint distance =
+      state.range(1) == 0
+          ? DistanceConstraint::Tight(static_cast<uint32_t>(state.range(0)))
+          : DistanceConstraint::Diverse(static_cast<uint32_t>(state.range(0)));
+  DiscoveryStats stats;
+  for (auto _ : state) {
+    auto preview = AprioriDiscover(prepared, size, distance,
+                                   AprioriOptions{}, &stats);
+    benchmark::DoNotOptimize(preview);
+  }
+  state.counters["subsets"] = static_cast<double>(stats.subsets_enumerated);
+  state.counters["scored"] = static_cast<double>(stats.subsets_scored);
+}
+BENCHMARK(BM_AprioriFilmK4)
+    ->ArgNames({"d", "diverse"})
+    ->Args({2, 1})
+    ->Args({3, 0})
+    ->Unit(benchmark::kMillisecond);
+
+// The worst case of the score bound: 63 types in a ring with chords, every
+// type with equal key and candidate scores, so every k-subset ties and no
+// bound can prune. Apriori k = 3 and beam k = 4 under diverse d=2, n = 12.
+PreparedSchema PreparedUniform() {
+  auto prepared = PreparedSchema::Create(
+      testing_util::UniformSchemaGraph(63, 5), MeasureSelection{});
+  EGP_CHECK(prepared.ok());
+  return std::move(prepared).value();
+}
+
+void BM_AprioriUniform(benchmark::State& state) {
+  const PreparedSchema prepared = PreparedUniform();
+  DiscoveryStats stats;
+  for (auto _ : state) {
+    auto preview =
+        AprioriDiscover(prepared, SizeConstraint{3, 12},
+                        DistanceConstraint::Diverse(2), AprioriOptions{},
+                        &stats);
+    benchmark::DoNotOptimize(preview);
+  }
+  state.counters["subsets"] = static_cast<double>(stats.subsets_enumerated);
+  state.counters["scored"] = static_cast<double>(stats.subsets_scored);
+}
+BENCHMARK(BM_AprioriUniform);
+
+void BM_BeamUniform(benchmark::State& state) {
+  const PreparedSchema prepared = PreparedUniform();
+  DiscoveryStats stats;
+  for (auto _ : state) {
+    auto preview = BeamSearchDiscover(prepared, SizeConstraint{4, 12},
+                                      DistanceConstraint::Diverse(2),
+                                      BeamSearchOptions{}, &stats);
+    benchmark::DoNotOptimize(preview);
+  }
+  state.counters["subsets"] = static_cast<double>(stats.subsets_enumerated);
+  state.counters["scored"] = static_cast<double>(stats.subsets_scored);
+}
+BENCHMARK(BM_BeamUniform);
 
 }  // namespace
 

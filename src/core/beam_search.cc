@@ -11,10 +11,11 @@
 namespace egp {
 namespace {
 
-/// A scored tuple of the level being built: its position in the level's
-/// flat tuple array.
+/// A tuple of the level being built, by its position in the level's flat
+/// tuple array, ranked by its ComposeBound value while it waits to be
+/// scored and by its optimistic ComposePreviewScore once it is.
 struct Ranked {
-  double score;  // optimistic ComposePreviewScore
+  double value;
   uint32_t index;
 };
 
@@ -46,14 +47,16 @@ Result<Preview> BeamSearchAttempt(const PreparedSchema& prepared,
   // Every level lives in flat arrays of `arity`-long strictly increasing
   // tuples of positions in pairs.eligible() (whose TypeIds ascend with the
   // position, so tuples order as their key sets do): `level` holds the
-  // candidates being built, `beam` the kept ones, best first. The buffers
-  // are reused across levels.
+  // candidates being built, `order` the distinct ones, `beam` the kept
+  // ones, best first. The buffers are reused across levels.
   uint32_t arity = 1;
   std::vector<uint32_t> level(num_eligible);
   std::iota(level.begin(), level.end(), 0u);
-  std::vector<uint32_t> beam;
   std::vector<uint32_t> order;
-  std::vector<Ranked> ranked;
+  std::vector<uint32_t> beam;
+  std::vector<ComposeBound> terms(num_eligible);
+  std::vector<Ranked> queue;
+  std::vector<Ranked> kept;
   std::vector<uint64_t> extensions(pairs.words());
   std::vector<TypeId> keys;  // scoring argument
   auto tuple = [&](uint32_t index) { return &level[size_t{index} * arity]; };
@@ -63,41 +66,96 @@ Result<Preview> BeamSearchAttempt(const PreparedSchema& prepared,
       keys[i] = pairs.eligible()[positions[i]];
     }
   };
-  auto score = [&](uint32_t index) {
-    to_keys(tuple(index), arity);
-    ++local_stats.subsets_enumerated;
-    return ComposePreviewScore(prepared, keys, size.n);
-  };
   // Score descending, then keys ascending: a total order on distinct
   // tuples, so the kept beam is deterministic.
   auto better = [&](const Ranked& a, const Ranked& b) {
-    if (a.score != b.score) return a.score > b.score;
+    if (a.value != b.value) return a.value > b.value;
     return std::lexicographical_compare(tuple(a.index), tuple(a.index) + arity,
                                         tuple(b.index),
                                         tuple(b.index) + arity);
   };
-  // Keeps the best `width` ranked tuples of `level`, in order, as the beam.
+  auto by_bound = [](const Ranked& a, const Ranked& b) {
+    if (a.value != b.value) return a.value < b.value;
+    return a.index > b.index;
+  };
+  // Keeps the best `width` tuples of `order` under `better`, in order, as
+  // the beam. Tuples are scored best bound first; once the next bound is
+  // below the width-th best score, no unscored tuple can enter.
   auto keep = [&](size_t width) {
-    width = std::min(width, ranked.size());
-    std::partial_sort(ranked.begin(), ranked.begin() + width, ranked.end(),
-                      better);
+    const uint32_t r = size.n - arity;
+    for (uint32_t i = 0; i < num_eligible; ++i) {
+      terms[i] = ComposeBound::OfType(prepared, pairs.eligible()[i], r);
+    }
+    queue.clear();
+    for (uint32_t index : order) {
+      ComposeBound bound;
+      for (uint32_t i = 0; i < arity; ++i) {
+        bound = bound.Join(terms[tuple(index)[i]]);
+      }
+      queue.push_back(Ranked{bound.Value(), index});
+    }
+    std::make_heap(queue.begin(), queue.end(), by_bound);
+    kept.clear();  // a heap whose front is the worst kept tuple
+    while (!queue.empty() &&
+           !(kept.size() == width &&
+             BoundBelow(queue.front().value, kept.front().value))) {
+      std::pop_heap(queue.begin(), queue.end(), by_bound);
+      const uint32_t index = queue.back().index;
+      queue.pop_back();
+      to_keys(tuple(index), arity);
+      ++local_stats.subsets_scored;
+      const Ranked scored{ComposePreviewScore(prepared, keys, size.n), index};
+      if (kept.size() < width) {
+        kept.push_back(scored);
+        std::push_heap(kept.begin(), kept.end(), better);
+      } else if (better(scored, kept.front())) {
+        std::pop_heap(kept.begin(), kept.end(), better);
+        kept.back() = scored;
+        std::push_heap(kept.begin(), kept.end(), better);
+      }
+    }
+    std::sort(kept.begin(), kept.end(), better);
     beam.clear();
-    for (size_t i = 0; i < width; ++i) {
-      beam.insert(beam.end(), tuple(ranked[i].index),
-                  tuple(ranked[i].index) + arity);
+    for (const Ranked& ranked : kept) {
+      beam.insert(beam.end(), tuple(ranked.index),
+                  tuple(ranked.index) + arity);
     }
   };
 
   // Level 1: all singletons. Level 1 is kept untrimmed: under sparse
   // constraints (e.g. diverse with large d) the feasible sets often avoid
   // the highest-scoring types, and trimming singletons would lose
-  // feasibility entirely. The beam narrows from level 2 on.
-  for (uint32_t i = 0; i < num_eligible; ++i) {
-    ranked.push_back(Ranked{score(i), i});
+  // feasibility entirely. So unless k = 1 it is not scored, and level 2 is
+  // every compatible pair in lexicographic order. The beam narrows from
+  // level 2 on.
+  order = level;
+  if (k > 1) {
+    local_stats.subsets_enumerated += num_eligible;
+    level.clear();
+    for (uint32_t i = 0; i < num_eligible; ++i) {
+      for (uint32_t j = i + 1; j < num_eligible; ++j) {
+        if (!pairs.Compatible(i, j)) continue;
+        level.push_back(i);
+        level.push_back(j);
+      }
+    }
+    arity = 2;
+    order.resize(level.size() / arity);
+    std::iota(order.begin(), order.end(), 0u);
   }
-  keep(ranked.size());
 
-  for (arity = 2; arity <= k; ++arity) {
+  for (;;) {
+    if (order.empty()) {
+      if (stats != nullptr) *stats = local_stats;
+      return Status::NotFound(
+          "beam search found no k-subset satisfying the constraint");
+    }
+    local_stats.subsets_enumerated += order.size();
+    // The last level needs only its best tuple.
+    keep(arity == k ? 1 : options.beam_width);
+    if (arity == k) break;
+    ++arity;
+
     // Extend every kept partial with every type compatible with all of its
     // members (the AND of their rows), writing each extension as a sorted
     // tuple.
@@ -128,7 +186,7 @@ Result<Preview> BeamSearchAttempt(const PreparedSchema& prepared,
     }
 
     // Extensions reached from different partials are one key set: sort the
-    // tuples, drop repeats, and score each distinct tuple once.
+    // tuples and drop repeats.
     order.resize(level.size() / arity);
     std::iota(order.begin(), order.end(), 0u);
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
@@ -141,17 +199,8 @@ Result<Preview> BeamSearchAttempt(const PreparedSchema& prepared,
                                                 tuple(b));
                             }),
                 order.end());
-    if (order.empty()) {
-      if (stats != nullptr) *stats = local_stats;
-      return Status::NotFound(
-          "beam search found no k-subset satisfying the constraint");
-    }
-    ranked.clear();
-    for (uint32_t index : order) ranked.push_back(Ranked{score(index), index});
-    keep(options.beam_width);
   }
 
-  local_stats.subsets_scored = local_stats.subsets_enumerated;
   if (stats != nullptr) *stats = local_stats;
   to_keys(beam.data(), k);
   return ComposePreview(prepared, keys, size.n);

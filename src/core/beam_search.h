@@ -12,13 +12,18 @@
 // bench_ablation_beam.
 //
 // Each level is built in flat arrays of sorted key tuples, not one vector
-// per partial: the extensions of every kept partial (the types compatible
-// with all its members, from one KeyPairs bit matrix) are written as
-// tuples, deduplicated by sort + unique, scored once each, and the best
-// beam_width kept by partial_sort on (score desc, keys asc). Level 1 keeps
-// every singleton, so level 2 scores at most C(eligible, 2) pairs and
-// every later level at most beam_width × eligible tuples; widening repeats
-// the search at most log4(max_beam_width / beam_width) + 1 times.
+// per partial. Level 1 keeps every singleton unscored, so level 2 is
+// every compatible pair in lexicographic order, generated directly. Each
+// later level writes the extensions of every kept partial (the types
+// compatible with all its members, from one KeyPairs bit matrix) as
+// tuples and deduplicates them by sort + unique. A level keeps the best
+// beam_width tuples under (score desc, keys asc), the last level only its
+// best one. Tuples are scored in descending ComposeBound order (compose.h,
+// with r = n − level), and scoring stops once the next bound is below the
+// beam_width-th best score, so the kept beam equals scoring every tuple.
+// A level generates at most C(eligible, 2) pairs at level 2 and beam_width
+// × eligible tuples later; widening repeats the search at most
+// log4(max_beam_width / beam_width) + 1 times.
 #ifndef EGP_CORE_BEAM_SEARCH_H_
 #define EGP_CORE_BEAM_SEARCH_H_
 

@@ -18,9 +18,16 @@ namespace egp {
 
 /// Instrumentation shared by the discovery algorithms.
 struct DiscoveryStats {
-  uint64_t subsets_enumerated = 0;  // complete k-subsets examined
-  uint64_t subsets_scored = 0;      // subsets passing the distance filter
-  bool truncated = false;           // stopped early by max_subsets
+  /// Key sets generated: every k-subset for brute force (feasible or not),
+  /// the distance-feasible k-subsets Apriori generates before its bound
+  /// stops it, and the distinct key sets of every beam level, partial ones
+  /// included, summed over widening attempts.
+  uint64_t subsets_enumerated = 0;
+  /// Key sets passed to ComposePreviewScore: every feasible one for brute
+  /// force, those whose score bound could still reach the best for
+  /// Apriori and beam search.
+  uint64_t subsets_scored = 0;
+  bool truncated = false;  // brute force stopped early by max_subsets
 };
 
 struct BruteForceOptions {

@@ -132,6 +132,16 @@ Result<Preview> ComposePreview(const PreparedSchema& prepared,
   return preview;
 }
 
+ComposeBound ComposeBound::OfType(const PreparedSchema& prepared, TypeId t,
+                                  uint32_t r) {
+  const TypeCandidates& cands = prepared.Candidates(t);
+  const double top1 = prepared.TableScore(t, 1);
+  if (cands.size() < 2) return {top1, 0.0, 0.0};
+  const size_t m = std::min<size_t>(cands.size(), size_t{r} + 1);
+  return {top1, r * (prepared.KeyScore(t) * cands.sorted[1].score),
+          prepared.TableScore(t, m) - top1};
+}
+
 double ComposePreviewScore(const PreparedSchema& prepared,
                            const std::vector<TypeId>& keys, uint32_t n) {
   const uint32_t k = static_cast<uint32_t>(keys.size());

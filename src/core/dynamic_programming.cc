@@ -12,15 +12,25 @@ namespace egp {
 Result<Preview> DynamicProgrammingDiscover(const PreparedSchema& prepared,
                                            const SizeConstraint& size) {
   const uint32_t k = size.k;
-  const uint32_t n = size.n;
   if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (n < k) {
+  if (size.n < k) {
     return Status::InvalidArgument(
         StrFormat("n=%u < k=%u: every table needs one non-key attribute",
-                  n, k));
+                  size.n, k));
   }
   const size_t num_types = prepared.num_types();
   if (num_types == 0) return Status::NotFound("empty schema graph");
+  uint32_t eligible = 0;
+  for (TypeId t = 0; t < num_types; ++t) eligible += prepared.Eligible(t);
+  if (eligible < k) {
+    return Status::NotFound(
+        StrFormat("fewer than k=%u eligible key types", k));
+  }
+  // No preview holds more non-keys than there are candidates, so every
+  // cell above that is −∞: clamping n bounds the tables without changing
+  // the result (eligible ≥ k keeps n ≥ k).
+  const uint32_t n = static_cast<uint32_t>(
+      std::min<size_t>(size.n, prepared.TotalCandidates()));
 
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   const size_t cells = static_cast<size_t>(k + 1) * (n + 1);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/profiler.h"
+#include "datagen/generator.h"
 #include "datagen/paper_example.h"
 #include "graph/entity_graph_builder.h"
 #include "io/json_export.h"
@@ -287,6 +288,44 @@ TEST(PreviewServiceTest, DiscoveryWorkIsBoundedPerRequest) {
                              R"("algorithm":"apriori","diverse":1})"))
                 .status,
             200);
+}
+
+TEST(PreviewServiceTest, ConciseDiscoveryClampsNToTheCandidates) {
+  // DP's tables grow with n, and n may be 2^20; no preview holds more
+  // non-keys than the schema has candidates, so every larger n must
+  // serve exactly the preview of n = TotalCandidates.
+  GeneratorOptions options;
+  options.scale = 0.0002;
+  auto film = GenerateDomainByName("film", options);
+  ASSERT_TRUE(film.ok()) << film.status().ToString();
+  auto prepared = PreparedSchema::Create(film->schema, MeasureSelection{},
+                                         &film->graph);
+  ASSERT_TRUE(prepared.ok());
+  const size_t total = prepared->TotalCandidates();
+  ASSERT_LT(total, 1048576u);
+  std::vector<std::pair<std::string, Engine>> engines;
+  engines.emplace_back("film", Engine::FromGraph(std::move(film->graph)));
+  auto catalog = DatasetCatalog::FromEngines(std::move(engines));
+  ASSERT_TRUE(catalog.ok());
+  PreviewService service(std::move(catalog).value(), "test");
+
+  const HttpResponse huge = service.Handle(
+      Post("/v1/preview", R"({"dataset":"film","k":1,"n":1048576})"));
+  const HttpResponse exact = service.Handle(Post(
+      "/v1/preview", R"({"dataset":"film","k":1,"n":)" +
+                         std::to_string(total) + "}"));
+  ASSERT_EQ(huge.status, 200) << huge.body;
+  ASSERT_EQ(exact.status, 200) << exact.body;
+  // Equal from the score to the timings: only the echoed constraints and
+  // the cache flag come before it.
+  auto preview = [](const std::string& body) {
+    const size_t begin = body.find("\"score\":");
+    const size_t end = body.find(",\"timings\":");
+    EXPECT_NE(begin, std::string::npos);
+    EXPECT_NE(end, std::string::npos);
+    return body.substr(begin, end - begin);
+  };
+  EXPECT_EQ(preview(huge.body), preview(exact.body));
 }
 
 TEST(PreviewServiceTest, MetricsReflectServedRequests) {

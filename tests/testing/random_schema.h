@@ -33,6 +33,24 @@ inline SchemaGraph RandomSchemaGraph(uint64_t seed, uint32_t num_types,
   return schema;
 }
 
+/// Tie-heavy schema: a ring of `num_types` types, each also linked to the
+/// type `chord` steps ahead, all with equal entity and edge counts. Under
+/// the coverage measures every type then has the same key score and the
+/// same candidate scores, so equal-size key sets tie and only the
+/// tie-break picks the preview.
+inline SchemaGraph UniformSchemaGraph(uint32_t num_types, uint32_t chord) {
+  SchemaGraph schema;
+  for (uint32_t t = 0; t < num_types; ++t) {
+    schema.AddType(std::string("U").append(std::to_string(t)), 10);
+  }
+  for (uint32_t t = 0; t < num_types; ++t) {
+    const std::string suffix = std::to_string(t);
+    schema.AddEdge("ring" + suffix, t, (t + 1) % num_types, 20);
+    schema.AddEdge("chord" + suffix, t, (t + chord) % num_types, 20);
+  }
+  return schema;
+}
+
 }  // namespace testing_util
 }  // namespace egp
 
