@@ -9,6 +9,7 @@
 #include "core/brute_force.h"
 #include "core/dynamic_programming.h"
 #include "core/frontier.h"
+#include "core/key_pairs.h"
 #include "graph/frozen_graph.h"
 #include "graph/schema_distance.h"
 #include "tests/testing/random_schema.h"
@@ -212,12 +213,12 @@ void BM_AprioriDiverse(benchmark::State& state) {
 }
 BENCHMARK(BM_AprioriDiverse)->ArgName("d")->Arg(2)->Arg(3);
 
-// The k = 4 film shapes perfbench's discover_heavy leaves out for their
-// cost: Apriori under diverse d=2 (arg 1 = 1) and tight d=3 (arg 1 = 0),
-// n = 12.
-void BM_AprioriFilmK4(benchmark::State& state) {
+// The film shapes perfbench's discover_heavy leaves out for their cost:
+// Apriori under diverse d=2 (arg 1 = 1) and tight d=3 (arg 1 = 0), n = 12,
+// at k = 4 and k = 6.
+void AprioriFilm(benchmark::State& state, uint32_t k) {
   const PreparedSchema prepared = PreparedFilm();
-  const SizeConstraint size{4, 12};
+  const SizeConstraint size{k, 12};
   const DistanceConstraint distance =
       state.range(1) == 0
           ? DistanceConstraint::Tight(static_cast<uint32_t>(state.range(0)))
@@ -231,11 +232,34 @@ void BM_AprioriFilmK4(benchmark::State& state) {
   state.counters["subsets"] = static_cast<double>(stats.subsets_enumerated);
   state.counters["scored"] = static_cast<double>(stats.subsets_scored);
 }
+
+void BM_AprioriFilmK4(benchmark::State& state) { AprioriFilm(state, 4); }
 BENCHMARK(BM_AprioriFilmK4)
     ->ArgNames({"d", "diverse"})
     ->Args({2, 1})
     ->Args({3, 0})
     ->Unit(benchmark::kMillisecond);
+
+void BM_AprioriFilmK6(benchmark::State& state) { AprioriFilm(state, 6); }
+BENCHMARK(BM_AprioriFilmK6)
+    ->ArgNames({"d", "diverse"})
+    ->Args({2, 1})
+    ->Args({3, 0})
+    ->Unit(benchmark::kMillisecond);
+
+// A request's pair matrix from the rows PreparedSchema keeps: tight d=3
+// reads them in place (arg = 0), diverse d=2 complements them (arg = 1).
+void BM_KeyPairs(benchmark::State& state) {
+  const PreparedSchema prepared = PreparedFilm();
+  const DistanceConstraint distance = state.range(0) == 0
+                                          ? DistanceConstraint::Tight(3)
+                                          : DistanceConstraint::Diverse(2);
+  for (auto _ : state) {
+    const KeyPairs pairs(prepared, distance);
+    benchmark::DoNotOptimize(pairs.Row(0));
+  }
+}
+BENCHMARK(BM_KeyPairs)->ArgName("diverse")->Arg(0)->Arg(1);
 
 // The worst case of the score bound: 63 types in a ring with chords, every
 // type with equal key and candidate scores, so every k-subset ties and no

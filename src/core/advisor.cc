@@ -11,10 +11,7 @@ ConstraintSuggestion SuggestConstraints(const PreparedSchema& prepared,
                                         const DisplayBudget& budget) {
   ConstraintSuggestion suggestion;
 
-  size_t eligible = 0;
-  for (TypeId t = 0; t < prepared.num_types(); ++t) {
-    if (prepared.Eligible(t)) ++eligible;
-  }
+  const size_t eligible = prepared.pair_rows().eligible().size();
 
   // Vertical budget: how many table blocks fit.
   const uint32_t table_blocks =

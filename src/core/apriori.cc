@@ -1,8 +1,8 @@
 #include "core/apriori.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <utility>
 
 #include "common/strings.h"
 #include "core/compose.h"
@@ -11,41 +11,32 @@
 namespace egp {
 namespace {
 
-/// Flat storage of fixed-arity sorted tuples of positions in
-/// KeyPairs::eligible(), lexicographically ordered by construction (the
-/// same order as their TypeIds, which ascend with the position).
-struct Level {
-  uint32_t arity = 0;
-  std::vector<uint32_t> flat;  // size = arity * count
+/// A partial node of the prefix tree: a sorted set of positions in
+/// KeyPairs::eligible(), stored as its largest member and its parent.
+struct Prefix {
+  static constexpr uint32_t kRoot = UINT32_MAX;
 
-  size_t count() const { return arity == 0 ? 0 : flat.size() / arity; }
-  const uint32_t* tuple(size_t idx) const { return &flat[idx * arity]; }
-  /// One past the last tuple of the join block of `idx`: the tuples after
-  /// it that share its first arity − 1 elements.
-  size_t BlockEnd(size_t idx) const {
-    size_t end = idx + 1;
-    while (end < count() &&
-           std::equal(tuple(idx), tuple(idx) + arity - 1, tuple(end))) {
-      ++end;
-    }
-    return end;
-  }
+  ComposeBound terms;  // the members' terms, joined
+  uint32_t parent;     // index of the parent node, or kRoot
+  uint32_t last;       // the largest member
+  uint32_t size;       // number of members
 };
 
-/// A search node: a k-subset (leaf) = tuple `parent` of L_{k−1} plus the
-/// position `last`, or a parent (`last` == kParent) standing for all its
-/// extensions. The max-heap pops the highest bound first and, among equal
-/// bounds, the lexicographically smallest (parent, last).
-struct Node {
-  static constexpr uint32_t kParent = UINT32_MAX;
+/// A heap entry: the partial node `node` waiting to be expanded (`last` ==
+/// kExpand), or the k-subset `node` + `last` waiting to be scored. The
+/// max-heap pops the highest bound first and, among equal bounds, the
+/// latest node, so a search whose bound prunes nothing runs depth-first
+/// and its heap stays small.
+struct Entry {
+  static constexpr uint32_t kExpand = UINT32_MAX;
 
   double bound;
-  uint32_t parent;
+  uint32_t node;
   uint32_t last;
 
-  bool operator<(const Node& other) const {
+  bool operator<(const Entry& other) const {
     if (bound != other.bound) return bound < other.bound;
-    if (parent != other.parent) return parent > other.parent;
+    if (node != other.node) return node < other.node;
     return last > other.last;
   }
 };
@@ -66,169 +57,180 @@ Result<Preview> AprioriDiscover(const PreparedSchema& prepared,
   }
 
   const KeyPairs pairs(prepared, distance);
-  if (pairs.size() < k) {
+  const uint32_t num_eligible = pairs.size();
+  if (num_eligible < k) {
     return Status::NotFound(StrFormat(
-        "only %u eligible key types, need k=%u", pairs.size(), k));
+        "only %u eligible key types, need k=%u", num_eligible, k));
   }
+  const size_t words = pairs.words();
+
+  // The bound of a partial node P with candidates C, j = k − |P| members
+  // short, joins P's terms with the j largest top1 and tail terms in C
+  // and C's largest picks term: every k-subset below it has terms no
+  // larger, and Value() is monotone in each.
+  const uint32_t r = size.n - k;
+  std::vector<ComposeBound> terms(num_eligible);
+  for (uint32_t i = 0; i < num_eligible; ++i) {
+    terms[i] = ComposeBound::OfType(prepared, pairs.eligible()[i], r);
+  }
+  // largest_top1 and largest_tail hold the j largest terms seen so far,
+  // in descending order.
+  std::vector<double> largest_top1(k);
+  std::vector<double> largest_tail(k);
+  auto insert = [](std::vector<double>& largest, uint32_t& filled,
+                   uint32_t j, double value) {
+    if (filled == j && value <= largest[j - 1]) return;
+    uint32_t at = filled < j ? filled++ : j - 1;
+    for (; at > 0 && largest[at - 1] < value; --at) {
+      largest[at] = largest[at - 1];
+    }
+    largest[at] = value;
+  };
+  auto partial_bound = [&](const ComposeBound& prefix, const uint64_t* cands,
+                           uint32_t j) {
+    uint32_t top1_filled = 0;
+    uint32_t tail_filled = 0;
+    ComposeBound rest;
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t bits = cands[w]; bits != 0; bits &= bits - 1) {
+        const ComposeBound& term =
+            terms[w * 64 + static_cast<size_t>(std::countr_zero(bits))];
+        insert(largest_top1, top1_filled, j, term.top1);
+        insert(largest_tail, tail_filled, j, term.tail);
+        rest.picks = std::max(rest.picks, term.picks);
+      }
+    }
+    for (uint32_t i = 0; i < top1_filled; ++i) rest.top1 += largest_top1[i];
+    for (uint32_t i = 0; i < tail_filled; ++i) rest.tail += largest_tail[i];
+    return prefix.Join(rest).Value();
+  };
 
   DiscoveryStats local_stats;
-  // The level cap is checked before every emitted tuple, so no level ever
-  // holds more than max_level_size tuples; the k-subsets count as one level.
-  auto full = [&options](uint64_t count) {
-    return options.max_level_size != 0 && count >= options.max_level_size;
-  };
-  auto too_large = [&options](uint32_t arity) {
+  // Every generated node, partial or leaf, counts against the cap.
+  uint64_t generated = 0;
+  auto too_large = [&options] {
     return Status::OutOfRange(StrFormat(
-        "Apriori level %u exceeded max_level_size=%llu", arity,
+        "Apriori search generated more than max_level_size=%llu key sets",
         static_cast<unsigned long long>(options.max_level_size)));
   };
 
-  // Build L_{k−1} level-wise. Tuples store positions in increasing order;
-  // the lexicographic order of `flat` is maintained by the join.
-  Level level;
-  level.arity = 1;
-  for (uint32_t i = 0; i < pairs.size(); ++i) level.flat.push_back(i);
-  if (k >= 3) {
-    // L2: all constraint-satisfying pairs.
-    level.flat.clear();
-    level.arity = 2;
-    for (uint32_t i = 0; i < pairs.size(); ++i) {
-      for (uint32_t j = i + 1; j < pairs.size(); ++j) {
-        if (pairs.Compatible(i, j)) {
-          if (full(level.count())) return too_large(2);
-          level.flat.push_back(i);
-          level.flat.push_back(j);
-        }
-      }
-    }
-  }
-  // Join L_{i−1} with itself to get L_i: tuples of one block share their
-  // first i − 2 elements, and a < b joins when their last elements are
-  // compatible (every other pair lies inside one of the two).
-  for (uint32_t arity = 3; arity < k && level.count() > 0; ++arity) {
-    Level next;
-    next.arity = arity;
-    for (size_t block = 0; block < level.count();) {
-      const size_t end = level.BlockEnd(block);
-      for (size_t a = block; a < end; ++a) {
-        const uint32_t last_a = level.tuple(a)[arity - 2];
-        for (size_t b = a + 1; b < end; ++b) {
-          const uint32_t last_b = level.tuple(b)[arity - 2];
-          if (!pairs.Compatible(last_a, last_b)) continue;
-          if (full(next.count())) return too_large(arity);
-          next.flat.insert(next.flat.end(), level.tuple(a),
-                           level.tuple(a) + arity - 1);
-          next.flat.push_back(last_b);
-        }
-      }
-      block = end;
-    }
-    level = std::move(next);
-  }
-
-  // Step 2, best-first: never materialize L_k. Every tuple of L_{k−1} is a
-  // parent node bounded by its own terms joined with the suffix maxima of
-  // the terms of the later last elements in its block (compatible or not,
-  // so still a bound). Popping a parent generates its k-subsets as leaves
-  // with exact bounds; popping a leaf scores it. Once the top bound is
-  // below the best score, no remaining subset can reach it.
-  const uint32_t r = size.n - k;
-  std::vector<ComposeBound> terms(pairs.size());
-  for (uint32_t i = 0; i < pairs.size(); ++i) {
-    terms[i] = ComposeBound::OfType(prepared, pairs.eligible()[i], r);
-  }
-  auto parent_terms = [&](uint32_t parent) {
-    ComposeBound sum;
-    for (uint32_t i = 0; i + 1 < k; ++i) {
-      sum = sum.Join(terms[level.tuple(parent)[i]]);
-    }
-    return sum;
-  };
-
-  std::vector<Node> heap;
-  if (k == 1) {
-    for (uint32_t i = 0; i < pairs.size(); ++i) {
-      heap.push_back(Node{terms[i].Value(), 0, i});
-    }
-    local_stats.subsets_enumerated = pairs.size();
-  } else {
-    for (size_t block = 0; block < level.count();) {
-      const size_t end = level.BlockEnd(block);
-      ComposeBound later = terms[level.tuple(end - 1)[k - 2]];
-      for (size_t a = end - 1; a-- > block;) {
-        // `later` holds the maxima over the last elements of (a, end).
-        const uint32_t parent = static_cast<uint32_t>(a);
-        heap.push_back(Node{parent_terms(parent).Join(later).Value(), parent,
-                            Node::kParent});
-        later = later.Max(terms[level.tuple(a)[k - 2]]);
-      }
-      block = end;
-    }
-  }
-  std::make_heap(heap.begin(), heap.end());
+  // The partial nodes, each with its candidates in `node_cands` (words
+  // per node): the types after its last member compatible with all of
+  // its members.
+  std::vector<Prefix> nodes;
+  std::vector<uint64_t> node_cands;
+  std::vector<Entry> heap;
 
   double best_score = -1.0;
-  Node best{0.0, 0, Node::kParent};
-  // keys[0, k−1) hold the members of the parent last expanded or scored.
+  std::vector<TypeId> best_keys;
   std::vector<TypeId> keys(k);
-  uint32_t keys_parent = Node::kParent;
-  auto to_keys = [&](const Node& leaf) {
-    if (leaf.parent != keys_parent) {
-      for (uint32_t i = 0; i + 1 < k; ++i) {
-        keys[i] = pairs.eligible()[level.tuple(leaf.parent)[i]];
+  uint32_t keys_node = Prefix::kRoot;  // whose members keys[0, k−1) hold
+  auto score = [&](uint32_t node, uint32_t last) {
+    if (node != keys_node) {
+      for (uint32_t at = node, i = k - 1; i-- > 0; at = nodes[at].parent) {
+        keys[i] = pairs.eligible()[nodes[at].last];
       }
-      keys_parent = leaf.parent;
+      keys_node = node;
     }
-    keys[k - 1] = pairs.eligible()[leaf.last];
-  };
-  auto score = [&](const Node& leaf) {
-    to_keys(leaf);
+    keys[k - 1] = pairs.eligible()[last];
     ++local_stats.subsets_scored;
     const double s = ComposePreviewScore(prepared, keys, size.n);
-    // Ties go to the lexicographically smaller subset, as in a scan of L_k.
-    if (s > best_score ||
-        (s == best_score && std::pair(leaf.parent, leaf.last) <
-                                std::pair(best.parent, best.last))) {
+    // Ties go to the lexicographically smaller key set, as in a scan of
+    // every k-subset in order.
+    if (s > best_score || (s == best_score && keys < best_keys)) {
       best_score = s;
-      best = leaf;
+      best_keys = keys;
     }
   };
 
-  while (!heap.empty() && !BoundBelow(heap.front().bound, best_score)) {
-    std::pop_heap(heap.begin(), heap.end());
-    const Node node = heap.back();
-    heap.pop_back();
-    if (node.last != Node::kParent) {
-      score(node);
-      continue;
-    }
-    const ComposeBound base = parent_terms(node.parent);
-    const uint32_t last_a = level.tuple(node.parent)[k - 2];
-    for (size_t b = node.parent + 1, end = level.BlockEnd(node.parent);
-         b < end; ++b) {
-      const uint32_t last_b = level.tuple(b)[k - 2];
-      if (!pairs.Compatible(last_a, last_b)) continue;
-      if (full(local_stats.subsets_enumerated)) return too_large(k);
-      ++local_stats.subsets_enumerated;
-      const Node leaf{base.Join(terms[last_b]).Value(), node.parent, last_b};
-      if (BoundBelow(leaf.bound, best_score)) continue;
-      // A leaf that would be popped next anyway is scored right away,
-      // sparing the heap; under uniform scores that is every leaf.
-      if (heap.empty() || leaf.bound >= heap.front().bound) {
-        score(leaf);
-      } else {
-        heap.push_back(leaf);
+  // Generates the children of the node (`node`, `prefix`) whose candidates
+  // are `cands`: a leaf for each candidate when one member is missing,
+  // else a partial node for each candidate that leaves enough candidates
+  // after it. A leaf that would be popped next anyway is scored right
+  // away, sparing the heap; under uniform scores that is every leaf.
+  std::vector<uint64_t> child_cands(words);
+  auto expand = [&](uint32_t node, const ComposeBound& prefix,
+                    uint32_t prefix_size, const uint64_t* cands) -> Status {
+    const uint32_t missing = k - prefix_size - 1;  // after the child
+    uint32_t after = 0;  // candidates after the current one
+    for (size_t w = 0; w < words; ++w) after += std::popcount(cands[w]);
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t bits = cands[w]; bits != 0; bits &= bits - 1) {
+        const uint32_t t =
+            static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+        if (--after < missing) return Status::OK();
+        if (options.max_level_size != 0 &&
+            generated >= options.max_level_size) {
+          return too_large();
+        }
+        ++generated;
+        const ComposeBound child = prefix.Join(terms[t]);
+        if (missing == 0) {
+          ++local_stats.subsets_enumerated;
+          const double bound = child.Value();
+          if (BoundBelow(bound, best_score)) continue;
+          if (heap.empty() || bound >= heap.front().bound) {
+            score(node, t);
+          } else {
+            heap.push_back(Entry{bound, node, t});
+            std::push_heap(heap.begin(), heap.end());
+          }
+          continue;
+        }
+        const uint64_t* row = pairs.Row(t);
+        uint32_t count = 0;
+        for (size_t v = 0; v < words; ++v) {
+          uint64_t word = cands[v] & row[v];
+          if (v < w) {
+            word = 0;
+          } else if (v == w) {
+            word &= t % 64 == 63 ? 0 : ~uint64_t{0} << (t % 64 + 1);
+          }
+          child_cands[v] = word;
+          count += std::popcount(word);
+        }
+        if (count < missing) continue;
+        const double bound = partial_bound(child, child_cands.data(), missing);
+        if (BoundBelow(bound, best_score)) continue;
+        const uint32_t index = static_cast<uint32_t>(nodes.size());
+        nodes.push_back(Prefix{child, node, t, prefix_size + 1});
+        node_cands.insert(node_cands.end(), child_cands.begin(),
+                          child_cands.end());
+        heap.push_back(Entry{bound, index, Entry::kExpand});
         std::push_heap(heap.begin(), heap.end());
       }
     }
+    return Status::OK();
+  };
+
+  // The root's candidates are every eligible type.
+  std::vector<uint64_t> cands(words, ~uint64_t{0});
+  if (num_eligible % 64 != 0) {
+    cands[words - 1] = (uint64_t{1} << (num_eligible % 64)) - 1;
+  }
+  EGP_RETURN_IF_ERROR(expand(Prefix::kRoot, ComposeBound{}, 0, cands.data()));
+  // Once the top bound is below the best score, no remaining k-subset can
+  // reach it.
+  while (!heap.empty() && !BoundBelow(heap.front().bound, best_score)) {
+    std::pop_heap(heap.begin(), heap.end());
+    const Entry entry = heap.back();
+    heap.pop_back();
+    if (entry.last != Entry::kExpand) {
+      score(entry.node, entry.last);
+      continue;
+    }
+    // Expanding appends to node_cands, so work on a copy.
+    const Prefix prefix = nodes[entry.node];
+    std::copy_n(&node_cands[size_t{entry.node} * words], words, cands.begin());
+    EGP_RETURN_IF_ERROR(
+        expand(entry.node, prefix.terms, prefix.size, cands.data()));
   }
 
   if (stats != nullptr) *stats = local_stats;
-  if (best.last == Node::kParent) {
+  if (best_keys.empty()) {
     return Status::NotFound("no k-subset satisfies the distance constraint");
   }
-  to_keys(best);
-  return ComposePreview(prepared, keys, size.n);
+  return ComposePreview(prepared, best_keys, size.n);
 }
 
 }  // namespace egp

@@ -1,21 +1,21 @@
 // Apriori-style optimal tight/diverse preview discovery (Alg. 3).
 //
-// Step 1 finds the (k−1)-subsets of key types whose pairwise distances
-// satisfy the constraint, by level-wise joining of (i−1)-subsets that
-// share an (i−2)-prefix — only the two differing last elements need a
-// distance check, exactly as Apriori candidate generation (correct by
-// induction: every other pair lies inside one of the two joined subsets).
-//
-// Step 2 is an exact best-first branch-and-bound over the k-subsets that
-// join would produce; L_k itself is never materialized. Each (k−1)-subset
-// is a parent node in one max-heap, bounded by ComposeBound (compose.h)
-// over its members plus the best terms of its join block. Popping a parent
-// generates its distance-feasible k-subsets as leaves with their own
-// bounds; popping a leaf scores it with ComposePreviewScore (Theorem 3).
-// The search stops once the top bound is below the best score. Ties go to
-// the lexicographically smaller key set, so the preview and its score bits
-// equal those of scoring every k-subset in order (apriori_test keeps that
-// scan as its oracle). The bound needs S(τ) ≥ 0 and non-negative candidate
+// Alg. 3 finds the k-subsets of key types whose pairwise distances
+// satisfy the constraint, then scores each with Theorem 3's merge. Here
+// both steps are one exact best-first branch-and-bound over the prefix
+// tree of sorted key sets; no level is ever built. A node is a prefix P
+// plus its candidates C: the eligible types after P's last member that
+// are compatible with every member (the AND of the members' KeyPairs
+// rows), so every k-subset below P is P plus k − |P| members of C, and
+// each is generated once. A node's bound joins ComposeBound (compose.h)
+// over P with, over C, the j = k − |P| largest top1 and tail terms and
+// the largest picks term; a node with fewer than j candidates dies.
+// Popping a node generates its children; popping a k-subset scores it
+// with ComposePreviewScore (Theorem 3). The search stops once the top
+// bound is below the best score. Ties go to the lexicographically
+// smaller key set, so the preview and its score bits equal those of
+// scoring every feasible k-subset in order (apriori_test keeps that scan
+// as its oracle). The bound needs S(τ) ≥ 0 and non-negative candidate
 // scores, which every registered measure gives.
 #ifndef EGP_CORE_APRIORI_H_
 #define EGP_CORE_APRIORI_H_
@@ -28,12 +28,11 @@
 namespace egp {
 
 struct AprioriOptions {
-  /// Abort with OutOfRange before a level would hold more than this many
-  /// subsets (0 = unlimited); checked per emitted tuple, so no level ever
-  /// exceeds it. The k-subsets step 2 generates count as level k. Guards
-  /// the degenerate constraints the paper flags (tight with d near the
-  /// diameter, diverse with tiny d). Discover sets it to
-  /// kMaxAprioriLevelSize.
+  /// Abort with OutOfRange before the search generates more than this
+  /// many nodes, prefixes and k-subsets alike (0 = unlimited). Guards the
+  /// degenerate constraints the paper flags (tight with d near the
+  /// diameter, diverse with tiny d) when ties keep the bound from
+  /// pruning. Discover sets it to kMaxAprioriLevelSize.
   uint64_t max_level_size = 0;
 };
 

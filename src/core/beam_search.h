@@ -16,7 +16,8 @@
 // every compatible pair in lexicographic order, generated directly. Each
 // later level writes the extensions of every kept partial (the types
 // compatible with all its members, from one KeyPairs bit matrix) as
-// tuples and deduplicates them by sort + unique. A level keeps the best
+// tuples, each key set once: by the first kept partial it contains,
+// found by hashing the key set less one member. A level keeps the best
 // beam_width tuples under (score desc, keys asc), the last level only its
 // best one. Tuples are scored in descending ComposeBound order (compose.h,
 // with r = n − level), and scoring stops once the next bound is below the

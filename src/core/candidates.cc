@@ -89,6 +89,11 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
 
   phase_timer.Reset();
   prepared.distances_ = std::make_shared<SchemaDistanceMatrix>(schema, pool);
+  std::vector<TypeId> eligible;
+  for (TypeId t = 0; t < num_types; ++t) {
+    if (prepared.Eligible(t)) eligible.push_back(t);
+  }
+  prepared.pair_rows_ = PairRows(std::move(eligible), *prepared.distances_);
   prepared.timings_.distance_seconds = phase_timer.ElapsedSeconds();
   prepared.schema_ = std::move(schema);
   prepared.timings_.total_seconds = total_timer.ElapsedSeconds();

@@ -3,8 +3,10 @@
 // Mirrors the paper's cost model (§5): "Both the schema graph and the
 // scoring measures ... are computed before optimal preview discovery."
 // Holds the chosen key-attribute scores, the per-type candidate non-key
-// attribute lists Γτ sorted by score with prefix sums, and the all-pairs
-// type distance matrix.
+// attribute lists Γτ sorted by score with prefix sums, the all-pairs
+// type distance matrix, and the "within distance d" bit rows over the
+// eligible key types (PairRows, key_pairs.h) that every tight/diverse
+// discovery request derives its pair matrix from.
 #ifndef EGP_CORE_CANDIDATES_H_
 #define EGP_CORE_CANDIDATES_H_
 
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/key_pairs.h"
 #include "core/key_scoring.h"
 #include "core/nonkey_scoring.h"
 #include "core/scoring_registry.h"
@@ -50,7 +53,7 @@ struct TypeCandidates {
 struct PrepareTimings {
   double key_seconds = 0.0;            // key-measure scoring
   double nonkey_seconds = 0.0;         // non-key-measure scoring
-  double distance_seconds = 0.0;       // all-pairs type distances
+  double distance_seconds = 0.0;       // all-pairs distances + pair rows
   double candidate_sort_seconds = 0.0; // Γτ sort + prefix sums
   double total_seconds = 0.0;          // whole Create call
 };
@@ -80,6 +83,11 @@ class PreparedSchema {
   /// The measure names this instance was prepared with.
   const MeasureSelection& measures() const { return measures_; }
   const SchemaDistanceMatrix& distances() const { return *distances_; }
+  /// The eligible key types and their "within distance d" rows, for each
+  /// of the D distinct distances between them: O(D · T · ⌈T/64⌉) words
+  /// over T eligible types; past kMaxPairRowWords (8 MiB) only the types
+  /// are kept.
+  const PairRows& pair_rows() const { return pair_rows_; }
   /// Per-phase wall-clock cost of the Create call that built this.
   const PrepareTimings& timings() const { return timings_; }
 
@@ -103,9 +111,9 @@ class PreparedSchema {
   size_t TotalCandidates() const;
 
   /// Rough resident size of the prepared state: scored candidates with
-  /// prefix sums, key scores, and the n×n distance matrix. Approximate
-  /// by design (the schema graph copy's internals are not walked) — for
-  /// cache introspection (/v1/debug/cache), not accounting.
+  /// prefix sums, key scores, the n×n distance matrix and the pair rows.
+  /// Approximate by design (the schema graph copy's internals are not
+  /// walked) — for cache introspection (/v1/debug/cache), not accounting.
   size_t ApproximateBytes() const {
     size_t bytes = sizeof(*this);
     bytes += key_scores_.capacity() * sizeof(double);
@@ -118,6 +126,7 @@ class PreparedSchema {
       bytes += distances_->num_types() * distances_->num_types() *
                sizeof(uint32_t);
     }
+    bytes += pair_rows_.ApproximateBytes();
     return bytes;
   }
 
@@ -130,6 +139,7 @@ class PreparedSchema {
   std::vector<double> key_scores_;
   std::vector<TypeCandidates> candidates_;
   std::shared_ptr<const SchemaDistanceMatrix> distances_;
+  PairRows pair_rows_;
 };
 
 }  // namespace egp

@@ -49,10 +49,7 @@ Result<Preview> Discover(const PreparedSchema& prepared,
   }
   if (resolved != nullptr) *resolved = name;
   if (name == "bf") {
-    uint64_t eligible = 0;
-    for (TypeId t = 0; t < prepared.num_types(); ++t) {
-      eligible += prepared.Eligible(t) ? 1 : 0;
-    }
+    const uint64_t eligible = prepared.pair_rows().eligible().size();
     if (BinomialCapped(eligible, size.k, kMaxBruteForceSubsets) >
         kMaxBruteForceSubsets) {
       return Status::OutOfRange(StrFormat(

@@ -21,9 +21,9 @@ namespace egp {
 /// Work caps of one Discover call; no request can lift them. Brute force
 /// is refused with OutOfRange before it starts when the number of
 /// k-subsets of eligible key types exceeds kMaxBruteForceSubsets, and
-/// Apriori stops with OutOfRange once one level, or the k-subsets its
-/// bounded search generates, would hold more than kMaxAprioriLevelSize
-/// tuples. DP's table is bounded by clamping n to the candidate count.
+/// Apriori stops with OutOfRange once its bounded search would generate
+/// more than kMaxAprioriLevelSize key sets, prefixes and k-subsets
+/// alike. DP's table is bounded by clamping n to the candidate count.
 inline constexpr uint64_t kMaxBruteForceSubsets = 4'000'000;
 inline constexpr uint64_t kMaxAprioriLevelSize = 1'000'000;
 

@@ -20,9 +20,7 @@ Result<Preview> DynamicProgrammingDiscover(const PreparedSchema& prepared,
   }
   const size_t num_types = prepared.num_types();
   if (num_types == 0) return Status::NotFound("empty schema graph");
-  uint32_t eligible = 0;
-  for (TypeId t = 0; t < num_types; ++t) eligible += prepared.Eligible(t);
-  if (eligible < k) {
+  if (prepared.pair_rows().eligible().size() < k) {
     return Status::NotFound(
         StrFormat("fewer than k=%u eligible key types", k));
   }

@@ -12,6 +12,7 @@
 
 #include "core/brute_force.h"
 #include "core/compose.h"
+#include "datagen/generator.h"
 #include "tests/testing/random_schema.h"
 
 namespace egp {
@@ -163,18 +164,52 @@ TEST(AprioriOracleTest, EqualScoresKeepTheLexicographicallySmallestKeys) {
   EXPECT_EQ(totals.scored, totals.reference_scored);
 }
 
-TEST(AprioriOracleTest, GeneratedSubsetsCountAgainstTheLevelCap) {
-  // Uniform scores prune nothing, so every one of the C(11, 3) = 165
-  // k-subsets of a diverse-1 request is generated, past a cap of 100.
+TEST(AprioriOracleTest, FilmK5MatchesFullScoring) {
+  // The film schema (63 types) at k = 5: the levels the full-scoring
+  // reference builds hold hundreds of thousands of subsets, while the
+  // prefix search scores only the few whose bound reaches the optimum.
+  GeneratorOptions options;
+  options.scale = 0.002;
+  auto film = GenerateDomainByName("film", options);
+  ASSERT_TRUE(film.ok()) << film.status().ToString();
+  auto prepared =
+      PreparedSchema::Create(film->schema, MeasureSelection{}, &film->graph);
+  ASSERT_TRUE(prepared.ok());
+  for (const DistanceConstraint distance :
+       {DistanceConstraint::Tight(3), DistanceConstraint::Diverse(2)}) {
+    SCOPED_TRACE(::testing::Message()
+                 << (distance.mode == DistanceMode::kTight ? "tight" : "diverse")
+                 << " d=" << distance.d);
+    const SizeConstraint size{5, 12};
+    DiscoveryStats stats;
+    DiscoveryStats reference_stats;
+    const auto actual = AprioriDiscover(*prepared, size, distance, {}, &stats);
+    const auto reference =
+        ReferenceApriori(*prepared, size, distance, &reference_stats);
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    ExpectSame(actual, reference, *prepared);
+    EXPECT_LE(stats.subsets_enumerated, reference_stats.subsets_enumerated);
+    EXPECT_LT(stats.subsets_scored * 10, reference_stats.subsets_scored);
+  }
+}
+
+TEST(AprioriOracleTest, GeneratedNodesCountAgainstTheCap) {
+  // Uniform scores prune nothing, so a diverse-1 request over 11 types
+  // generates all C(11, 3) = 165 k-subsets as leaves plus the prefixes
+  // that still have enough types after them: the 9 singletons {0} … {8}
+  // and the 45 pairs {a, b} with b ≤ 9. All 219 count against the cap.
   auto prepared = PreparedSchema::Create(
       testing_util::UniformSchemaGraph(11, 2), MeasureSelection{});
   ASSERT_TRUE(prepared.ok());
   AprioriOptions options;
-  options.max_level_size = 100;
-  const auto capped = AprioriDiscover(*prepared, SizeConstraint{3, 6},
-                                      DistanceConstraint::Diverse(1), options);
-  EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange);
-  options.max_level_size = 165;
+  for (const uint64_t cap : {100u, 218u}) {
+    options.max_level_size = cap;
+    const auto capped =
+        AprioriDiscover(*prepared, SizeConstraint{3, 6},
+                        DistanceConstraint::Diverse(1), options);
+    EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange) << cap;
+  }
+  options.max_level_size = 219;
   DiscoveryStats stats;
   EXPECT_TRUE(AprioriDiscover(*prepared, SizeConstraint{3, 6},
                               DistanceConstraint::Diverse(1), options, &stats)

@@ -261,8 +261,9 @@ PreviewService MakeChainService() {
 TEST(PreviewServiceTest, DiscoveryWorkIsBoundedPerRequest) {
   PreviewService service = MakeChainService();
   // C(40, 10) ~ 8.5e8 subsets: brute force is refused before it starts,
-  // and Apriori under diverse d=1 stops at its level cap (C(40, 6) ~ 3.8e6
-  // tuples would come next), both with 400.
+  // and Apriori under diverse d=1 stops at its cap of generated key sets
+  // (the 38 inner types tie, so the bound prunes almost nothing), both
+  // with 400.
   const auto start = std::chrono::steady_clock::now();
   const HttpResponse bf = service.Handle(
       Post("/v1/preview", R"({"dataset":"chain","k":10,"algorithm":"bf"})"));
@@ -288,6 +289,27 @@ TEST(PreviewServiceTest, DiscoveryWorkIsBoundedPerRequest) {
                              R"("algorithm":"apriori","diverse":1})"))
                 .status,
             200);
+}
+
+TEST(PreviewServiceTest, FilmAprioriServesSixTables) {
+  // Film's 63 types at k = 6, n = 12: under diverse 2, building every
+  // level up to k − 1 would pass the 1M cap at level 5, while the prefix
+  // search generates only the subsets its bound keeps.
+  GeneratorOptions options;
+  options.scale = 0.0002;
+  auto film = GenerateDomainByName("film", options);
+  ASSERT_TRUE(film.ok()) << film.status().ToString();
+  std::vector<std::pair<std::string, Engine>> engines;
+  engines.emplace_back("film", Engine::FromGraph(std::move(film->graph)));
+  auto catalog = DatasetCatalog::FromEngines(std::move(engines));
+  ASSERT_TRUE(catalog.ok());
+  PreviewService service(std::move(catalog).value(), "test");
+  for (const char* distance : {R"("tight":3)", R"("diverse":2)"}) {
+    const HttpResponse response = service.Handle(Post(
+        "/v1/preview", std::string(R"({"dataset":"film","k":6,"n":12,)") +
+                           R"("algorithm":"apriori",)" + distance + "}"));
+    EXPECT_EQ(response.status, 200) << distance << " " << response.body;
+  }
 }
 
 TEST(PreviewServiceTest, ConciseDiscoveryClampsNToTheCandidates) {
