@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the core primitives: schema
-// preparation, scoring, all-pairs distances and the three discovery
-// algorithms, on the exact-size paper schemas.
+// preparation, scoring, all-pairs distances, the three discovery
+// algorithms on the exact-size paper schemas, and row sampling.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -10,6 +10,8 @@
 #include "core/dynamic_programming.h"
 #include "core/frontier.h"
 #include "core/key_pairs.h"
+#include "core/tuple_sampler.h"
+#include "datagen/generator.h"
 #include "graph/frozen_graph.h"
 #include "graph/schema_distance.h"
 #include "tests/testing/random_schema.h"
@@ -132,32 +134,56 @@ void BM_FreezeGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_FreezeGraph);
 
-void BM_NeighborScanEntityGraph(benchmark::State& state) {
-  const EntityGraph& graph = MusicDomain().graph;
-  const RelTypeId rel = 0;
-  for (auto _ : state) {
-    size_t total = 0;
-    for (EntityId e = 0; e < graph.num_entities(); e += 13) {
-      total += graph.NeighborSet(e, rel, Direction::kOutgoing).size();
+// One preview's row sampling on film 0.02 in perfbench warm_sampled's
+// shapes: DP previews with k 2-4 and n k+4 or k+8, 2-5 rows per table,
+// a fresh sample seed per call. Arg 0 is the random strategy, 1 the
+// frequency-weighted one. Cells are read from the graph's CSR runs, so
+// this also covers the neighbour-set scan.
+void BM_MaterializePreview(benchmark::State& state) {
+  static const GeneratedDomain* film = [] {
+    GeneratorOptions options;
+    options.scale = 0.02;
+    auto domain = GenerateDomainByName("film", options);
+    EGP_CHECK(domain.ok());
+    return new GeneratedDomain(std::move(domain).value());
+  }();
+  static const PreparedSchema* prepared = [] {
+    auto built =
+        PreparedSchema::Create(film->schema, MeasureSelection{}, &film->graph);
+    EGP_CHECK(built.ok());
+    return new PreparedSchema(std::move(built).value());
+  }();
+  std::vector<Preview> previews;
+  for (uint32_t k = 2; k <= 4; ++k) {
+    for (const uint32_t extra : {4u, 8u}) {
+      auto preview = DynamicProgrammingDiscover(*prepared, {k, k + extra});
+      EGP_CHECK(preview.ok());
+      previews.push_back(std::move(preview).value());
     }
-    benchmark::DoNotOptimize(total);
   }
-}
-BENCHMARK(BM_NeighborScanEntityGraph);
-
-void BM_NeighborScanFrozenGraph(benchmark::State& state) {
-  static const FrozenGraph* frozen =
-      new FrozenGraph(FrozenGraph::Freeze(MusicDomain().graph));
-  const RelTypeId rel = 0;
+  TupleSamplerOptions options;
+  options.strategy = state.range(0) == 0 ? SamplingStrategy::kRandom
+                                         : SamplingStrategy::kFrequencyWeighted;
+  uint64_t call = 0;
+  size_t values = 0;
   for (auto _ : state) {
-    size_t total = 0;
-    for (EntityId e = 0; e < frozen->num_entities(); e += 13) {
-      total += frozen->NeighborSet(e, rel, Direction::kOutgoing).size();
+    options.rows_per_table = 2 + call % 4;
+    options.seed = call;
+    auto materialized = MaterializePreview(
+        film->graph, *prepared, previews[call % previews.size()], options);
+    for (const MaterializedTable& table : materialized->tables) {
+      for (const MaterializedRow& row : table.rows) {
+        for (const MaterializedCell& cell : row.cells) {
+          values += cell.values.size();
+        }
+      }
     }
-    benchmark::DoNotOptimize(total);
+    ++call;
   }
+  state.counters["values"] = benchmark::Counter(
+      static_cast<double>(values), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_NeighborScanFrozenGraph);
+BENCHMARK(BM_MaterializePreview)->ArgName("frequency")->Arg(0)->Arg(1);
 
 void BM_ComposePreviewScore(benchmark::State& state) {
   const PreparedSchema prepared = PreparedMusic();

@@ -13,14 +13,13 @@ namespace egp {
 Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
                                               const MeasureSelection& measures,
                                               const EntityGraph* graph,
-                                              ThreadPool* pool,
-                                              const FrozenGraph* frozen) {
+                                              ThreadPool* pool) {
   const Timer total_timer;
   Timer phase_timer;
   PreparedSchema prepared;
   prepared.measures_ = measures;
 
-  const ScoringContext context{schema, graph, measures.walk, pool, frozen};
+  const ScoringContext context{schema, graph, measures.walk, pool};
   ScoringRegistry& registry = ScoringRegistry::Global();
 
   KeyScorerFn key_scorer;

@@ -8,34 +8,33 @@ namespace egp {
 namespace {
 
 /// Union of the entity's neighbour sets across a column's relationship
-/// types (one for plain columns, several for merged multi-way columns).
+/// types (one for plain columns, several for merged multi-way columns),
+/// read from the CSR runs. A run is neighbor-sorted, so one run needs
+/// only an adjacent dedup; merged columns sort the concatenation.
 std::vector<EntityId> ColumnValues(const EntityGraph& graph, EntityId entity,
                                    const MaterializedColumn& column) {
-  if (column.rel_types.size() == 1) {
-    return graph.NeighborSet(entity, column.rel_types[0], column.direction);
-  }
   std::vector<EntityId> values;
   for (RelTypeId rel : column.rel_types) {
-    std::vector<EntityId> part =
-        graph.NeighborSet(entity, rel, column.direction);
-    values.insert(values.end(), part.begin(), part.end());
+    for (const FrozenGraph::Arc& arc :
+         graph.csr().RelArcs(entity, rel, column.direction)) {
+      if (values.empty() || values.back() != arc.neighbor) {
+        values.push_back(arc.neighbor);
+      }
+    }
   }
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
+  if (column.rel_types.size() > 1) {
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+  }
   return values;
 }
 
 /// !ColumnValues(graph, entity, column).empty(), without building the
-/// set: stops at the first incident edge of one of the column's types.
+/// set.
 bool HasColumnValue(const EntityGraph& graph, EntityId entity,
                     const MaterializedColumn& column) {
-  const std::vector<EdgeId>& incident =
-      column.direction == Direction::kOutgoing ? graph.OutEdges(entity)
-                                               : graph.InEdges(entity);
-  const std::vector<EdgeRecord>& edges = graph.edges();
-  for (const EdgeId id : incident) {
-    if (std::find(column.rel_types.begin(), column.rel_types.end(),
-                  edges[id].rel_type) != column.rel_types.end()) {
+  for (RelTypeId rel : column.rel_types) {
+    if (!graph.csr().RelArcs(entity, rel, column.direction).empty()) {
       return true;
     }
   }

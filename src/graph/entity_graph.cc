@@ -52,28 +52,15 @@ const EdgeRecord& EntityGraph::Edge(EdgeId id) const {
   return edges_[id];
 }
 
-const std::vector<EdgeId>& EntityGraph::OutEdges(EntityId e) const {
-  EGP_CHECK(e < out_edges_.size()) << "bad entity id " << e;
-  return out_edges_[e];
-}
-
-const std::vector<EdgeId>& EntityGraph::InEdges(EntityId e) const {
-  EGP_CHECK(e < in_edges_.size()) << "bad entity id " << e;
-  return in_edges_[e];
-}
-
 std::vector<EntityId> EntityGraph::NeighborSet(EntityId e, RelTypeId rel_type,
                                                Direction direction) const {
   std::vector<EntityId> out;
-  const auto& incident =
-      direction == Direction::kOutgoing ? OutEdges(e) : InEdges(e);
-  for (EdgeId id : incident) {
-    const EdgeRecord& rec = edges_[id];
-    if (rec.rel_type != rel_type) continue;
-    out.push_back(direction == Direction::kOutgoing ? rec.dst : rec.src);
+  for (const FrozenGraph::Arc& arc : csr_.RelArcs(e, rel_type, direction)) {
+    // Runs are sorted by neighbor: dedupe adjacent multigraph repeats.
+    if (out.empty() || out.back() != arc.neighbor) {
+      out.push_back(arc.neighbor);
+    }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -6,6 +6,10 @@
 // triple (surface name, source entity type, destination entity type): two
 // relationship types may share a surface name (e.g. the paper's two
 // "Award Winners" types) but are distinct identifiers.
+//
+// Adjacency lives in one place: the FrozenGraph CSR returned by csr(),
+// built once by EntityGraphBuilder::Build or adopted from an .egps
+// snapshot's CSR sections. No per-entity edge lists are kept.
 #ifndef EGP_GRAPH_ENTITY_GRAPH_H_
 #define EGP_GRAPH_ENTITY_GRAPH_H_
 
@@ -15,6 +19,7 @@
 #include <vector>
 
 #include "common/string_pool.h"
+#include "graph/frozen_graph.h"
 #include "graph/ids.h"
 
 namespace egp {
@@ -67,12 +72,14 @@ class EntityGraph {
   // --- Edges ---------------------------------------------------------------
   const EdgeRecord& Edge(EdgeId id) const;
   const std::vector<EdgeRecord>& edges() const { return edges_; }
-  /// Edge ids leaving / entering an entity.
-  const std::vector<EdgeId>& OutEdges(EntityId e) const;
-  const std::vector<EdgeId>& InEdges(EntityId e) const;
+
+  /// The adjacency: per-entity (neighbour, relationship type) arcs in
+  /// both directions, sorted by (rel_type, neighbor).
+  const FrozenGraph& csr() const { return csr_; }
 
   /// t.γ(τ,τ') / t.γ(τ',τ): the set of neighbour entities of `e` through
-  /// edges of `rel_type` in the given direction. Deduplicated, sorted.
+  /// edges of `rel_type` in the given direction. Deduplicated, sorted;
+  /// copied out of the CSR run csr().RelArcs(e, rel_type, direction).
   std::vector<EntityId> NeighborSet(EntityId e, RelTypeId rel_type,
                                     Direction direction) const;
 
@@ -95,9 +102,8 @@ class EntityGraph {
   std::vector<std::vector<TypeId>> entity_types_;     // per entity
   std::vector<std::vector<EntityId>> type_members_;   // per type
   std::vector<EdgeRecord> edges_;
-  std::vector<std::vector<EdgeId>> out_edges_;        // per entity
-  std::vector<std::vector<EdgeId>> in_edges_;         // per entity
   std::vector<std::vector<EdgeId>> rel_type_edges_;   // per rel type
+  FrozenGraph csr_;
 };
 
 }  // namespace egp

@@ -38,8 +38,6 @@ EntityId EntityGraphBuilder::AddEntity(std::string_view name) {
   if (existing) return *existing;
   const EntityId id = graph_.entity_names_.Intern(name);
   graph_.entity_types_.emplace_back();
-  graph_.out_edges_.emplace_back();
-  graph_.in_edges_.emplace_back();
   return id;
 }
 
@@ -80,8 +78,6 @@ Status EntityGraphBuilder::AddEdge(EntityId src, RelTypeId rel_type,
   }
   const EdgeId id = static_cast<EdgeId>(graph_.edges_.size());
   graph_.edges_.push_back(EdgeRecord{src, dst, rel_type});
-  graph_.out_edges_[src].push_back(id);
-  graph_.in_edges_[dst].push_back(id);
   graph_.rel_type_edges_[rel_type].push_back(id);
   return Status::OK();
 }
@@ -103,6 +99,7 @@ Result<EntityGraph> EntityGraphBuilder::Build() {
     return Status::FailedPrecondition("Build: graph has no entities");
   }
   EntityGraph out = std::move(graph_);
+  out.csr_ = FrozenGraph::Freeze(out);
   graph_ = EntityGraph();
   rel_type_index_.clear();
   return out;

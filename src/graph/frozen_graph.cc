@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/strings.h"
+#include "graph/entity_graph.h"
 
 namespace egp {
 namespace {
@@ -78,7 +78,7 @@ Status ValidateCsrSide(const char* label, size_t num_entities,
 
 }  // namespace
 
-FrozenGraph FrozenGraph::Freeze(const EntityGraph& graph, ThreadPool* pool) {
+FrozenGraph FrozenGraph::Freeze(const EntityGraph& graph) {
   auto arrays = std::make_shared<OwnedArrays>();
   const size_t n = graph.num_entities();
   arrays->out_offsets.assign(n + 1, 0);
@@ -105,19 +105,13 @@ FrozenGraph FrozenGraph::Freeze(const EntityGraph& graph, ThreadPool* pool) {
   }
 
   // Sort each entity's run by (rel_type, neighbor): per-relationship
-  // slices become contiguous and pre-sorted. Runs are disjoint, so the
-  // per-entity sorts parallelize without affecting the result.
-  ParallelFor(
-      pool, 0, n,
-      [&arrays](size_t i) {
-        std::sort(arrays->out_arcs.begin() + arrays->out_offsets[i],
-                  arrays->out_arcs.begin() + arrays->out_offsets[i + 1],
-                  ArcLess);
-        std::sort(arrays->in_arcs.begin() + arrays->in_offsets[i],
-                  arrays->in_arcs.begin() + arrays->in_offsets[i + 1],
-                  ArcLess);
-      },
-      /*grain=*/64);
+  // slices become contiguous and pre-sorted.
+  for (size_t i = 0; i < n; ++i) {
+    std::sort(arrays->out_arcs.begin() + arrays->out_offsets[i],
+              arrays->out_arcs.begin() + arrays->out_offsets[i + 1], ArcLess);
+    std::sort(arrays->in_arcs.begin() + arrays->in_offsets[i],
+              arrays->in_arcs.begin() + arrays->in_offsets[i + 1], ArcLess);
+  }
 
   FrozenGraph frozen;
   frozen.num_entities_ = n;
@@ -176,18 +170,6 @@ std::span<const FrozenGraph::Arc> FrozenGraph::RelArcs(
   auto end = begin;
   while (end != arcs.end() && end->rel_type == rel_type) ++end;
   return {begin, end};
-}
-
-std::vector<EntityId> FrozenGraph::NeighborSet(EntityId e, RelTypeId rel_type,
-                                               Direction direction) const {
-  std::vector<EntityId> out;
-  for (const Arc& arc : RelArcs(e, rel_type, direction)) {
-    // Runs are sorted by neighbor: dedupe adjacent multigraph repeats.
-    if (out.empty() || out.back() != arc.neighbor) {
-      out.push_back(arc.neighbor);
-    }
-  }
-  return out;
 }
 
 size_t FrozenGraph::MemoryBytes() const {

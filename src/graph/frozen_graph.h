@@ -1,12 +1,13 @@
-// FrozenGraph: a compact CSR (compressed sparse row) snapshot of an
-// entity graph for scan-heavy workloads.
+// FrozenGraph: the CSR (compressed sparse row) adjacency of an entity
+// graph, and the only adjacency the library keeps.
 //
-// EntityGraph stores adjacency as per-entity vectors of edge ids — ideal
-// while building, wasteful to scan: every neighbour access chases an
-// EdgeId into the global edge array. FrozenGraph lays out (neighbour,
-// relationship-type) pairs contiguously per entity, in both directions,
-// for one-allocation storage and sequential scans. It is a read-only
-// view for algorithms; derive it once after ingestion.
+// Every EntityGraph carries one (EntityGraph::csr()): the builder
+// freezes the edge array once, and the .egps loader adopts the CSR
+// sections of the file. (neighbour, relationship-type) pairs lie
+// contiguously per entity, in both directions, sorted so that one
+// entity's arcs of one relationship type form a neighbour-sorted run —
+// neighbour sets, sampled cells and entropy scans read those runs in
+// place.
 //
 // Storage is reference-counted: the four CSR arrays live behind a shared
 // backing object, so copying a FrozenGraph is a cheap handle copy. The
@@ -22,11 +23,11 @@
 #include <vector>
 
 #include "common/result.h"
-#include "graph/entity_graph.h"
+#include "graph/ids.h"
 
 namespace egp {
 
-class ThreadPool;
+class EntityGraph;
 
 class FrozenGraph {
  public:
@@ -39,11 +40,11 @@ class FrozenGraph {
 
   FrozenGraph() = default;
 
-  /// O(V + E): counts, prefix sums, one fill pass per direction. The
-  /// per-entity adjacency sorts (the dominant cost) run on `pool` when
-  /// one is given; the result is identical at any parallelism.
-  static FrozenGraph Freeze(const EntityGraph& graph,
-                            ThreadPool* pool = nullptr);
+  /// The CSR of `graph`'s edge array: counts, prefix sums, one fill
+  /// pass per direction, then a sort of each entity's run. O(V + E)
+  /// plus the per-entity sorts. EntityGraphBuilder::Build calls this
+  /// once per graph.
+  static FrozenGraph Freeze(const EntityGraph& graph);
 
   /// Wraps externally owned CSR arrays without copying (the mmap'd .egps
   /// open path). `backing` keeps the memory the spans point into alive
@@ -73,15 +74,10 @@ class FrozenGraph {
   size_t OutDegree(EntityId e) const { return OutArcs(e).size(); }
   size_t InDegree(EntityId e) const { return InArcs(e).size(); }
 
-  /// Deduplicated neighbour set through one relationship type — the
-  /// CSR-backed equivalent of EntityGraph::NeighborSet (same result).
-  std::vector<EntityId> NeighborSet(EntityId e, RelTypeId rel_type,
-                                    Direction direction) const;
-
   /// The contiguous run of `e`'s arcs of one relationship type (arcs are
   /// sorted by (rel_type, neighbor), so the run is neighbor-sorted and
-  /// multigraph repeats are adjacent). Zero-copy: the scan-heavy scoring
-  /// loops read value sets straight out of the CSR through this.
+  /// multigraph repeats are adjacent). Zero-copy: neighbour sets, sampled
+  /// cells and the entropy scans read value sets straight out of it.
   std::span<const Arc> RelArcs(EntityId e, RelTypeId rel_type,
                                Direction direction) const;
 

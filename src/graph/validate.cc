@@ -2,10 +2,22 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "common/strings.h"
 
 namespace egp {
+namespace {
+
+/// Whether a neighbor-sorted CSR run holds an arc to `neighbor`.
+bool HasArc(std::span<const FrozenGraph::Arc> run, EntityId neighbor) {
+  const auto it = std::lower_bound(
+      run.begin(), run.end(), neighbor,
+      [](const FrozenGraph::Arc& arc, EntityId v) { return arc.neighbor < v; });
+  return it != run.end() && it->neighbor == neighbor;
+}
+
+}  // namespace
 
 ValidationReport ValidateEntityGraph(const EntityGraph& graph) {
   ValidationReport report;
@@ -37,13 +49,13 @@ ValidationReport ValidateEntityGraph(const EntityGraph& graph) {
                         graph.EntityName(e.dst).c_str(),
                         graph.TypeName(info.dst_type).c_str()));
     }
-    const auto& out = graph.OutEdges(e.src);
-    if (std::find(out.begin(), out.end(), id) == out.end()) {
-      violate(StrFormat("edge %u missing from source's out index", id));
+    if (!HasArc(graph.csr().RelArcs(e.src, e.rel_type,
+                                    Direction::kOutgoing), e.dst)) {
+      violate(StrFormat("edge %u missing from source's out arcs", id));
     }
-    const auto& in = graph.InEdges(e.dst);
-    if (std::find(in.begin(), in.end(), id) == in.end()) {
-      violate(StrFormat("edge %u missing from destination's in index", id));
+    if (!HasArc(graph.csr().RelArcs(e.dst, e.rel_type,
+                                    Direction::kIncoming), e.src)) {
+      violate(StrFormat("edge %u missing from destination's in arcs", id));
     }
     const auto& by_rel = graph.EdgesOfRelType(e.rel_type);
     if (std::find(by_rel.begin(), by_rel.end(), id) == by_rel.end()) {
@@ -52,21 +64,13 @@ ValidationReport ValidateEntityGraph(const EntityGraph& graph) {
   }
 
   // Index sizes partition the edge set.
-  size_t out_total = 0, in_total = 0, rel_total = 0;
-  for (EntityId v = 0; v < graph.num_entities(); ++v) {
-    out_total += graph.OutEdges(v).size();
-    in_total += graph.InEdges(v).size();
-  }
+  size_t rel_total = 0;
   for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
     rel_total += graph.EdgesOfRelType(r).size();
   }
-  if (out_total != graph.num_edges()) {
-    violate(StrFormat("out indexes cover %zu of %zu edges", out_total,
-                      graph.num_edges()));
-  }
-  if (in_total != graph.num_edges()) {
-    violate(StrFormat("in indexes cover %zu of %zu edges", in_total,
-                      graph.num_edges()));
+  if (graph.csr().num_arcs() != graph.num_edges()) {
+    violate(StrFormat("CSR holds %zu arcs for %zu edges",
+                      graph.csr().num_arcs(), graph.num_edges()));
   }
   if (rel_total != graph.num_edges()) {
     violate(StrFormat("relationship indexes cover %zu of %zu edges",

@@ -22,16 +22,17 @@
 namespace egp {
 
 /// Fills EntityGraph's private members from validated snapshot sections
-/// (a friend of EntityGraph). The inverted edge indexes are derived —
-/// they are a pure function of the edge array in edge-id order, exactly
-/// as EntityGraphBuilder::AddEdge appends them.
+/// (a friend of EntityGraph). The graph adopts the file's CSR as its
+/// adjacency, uncopied; the per-relationship-type edge lists are derived
+/// from the edge array in edge-id order, exactly as
+/// EntityGraphBuilder::AddEdge appends them.
 struct GraphAssembler {
   static EntityGraph Assemble(StringPool entity_names, StringPool type_names,
                               StringPool surface_names,
                               std::vector<RelTypeInfo> rel_types,
                               std::vector<std::vector<TypeId>> entity_types,
                               std::vector<std::vector<EntityId>> type_members,
-                              std::vector<EdgeRecord> edges) {
+                              std::vector<EdgeRecord> edges, FrozenGraph csr) {
     EntityGraph graph;
     graph.entity_names_ = std::move(entity_names);
     graph.type_names_ = std::move(type_names);
@@ -40,15 +41,11 @@ struct GraphAssembler {
     graph.entity_types_ = std::move(entity_types);
     graph.type_members_ = std::move(type_members);
     graph.edges_ = std::move(edges);
-    graph.out_edges_.resize(graph.entity_types_.size());
-    graph.in_edges_.resize(graph.entity_types_.size());
     graph.rel_type_edges_.resize(graph.rel_types_.size());
     for (EdgeId id = 0; id < graph.edges_.size(); ++id) {
-      const EdgeRecord& e = graph.edges_[id];
-      graph.out_edges_[e.src].push_back(id);
-      graph.in_edges_[e.dst].push_back(id);
-      graph.rel_type_edges_[e.rel_type].push_back(id);
+      graph.rel_type_edges_[graph.edges_[id].rel_type].push_back(id);
     }
+    graph.csr_ = std::move(csr);
     return graph;
   }
 };
@@ -541,20 +538,19 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
   EGP_ASSIGN_OR_RETURN(out_arcs, csr_arcs(kSectionOutArcs, "out arcs"));
   EGP_ASSIGN_OR_RETURN(in_arcs, csr_arcs(kSectionInArcs, "in arcs"));
 
-  StoredGraph stored;
+  FrozenGraph csr;
   EGP_ASSIGN_OR_RETURN(
-      stored.frozen,
-      FrozenGraph::FromCsr(num_entities, num_rel_types, out_offsets,
-                           in_offsets, out_arcs, in_arcs,
-                           std::move(backing)));
+      csr, FrozenGraph::FromCsr(num_entities, num_rel_types, out_offsets,
+                                in_offsets, out_arcs, in_arcs,
+                                std::move(backing)));
 
   // --- CSR <-> edge consistency ------------------------------------------
   // FromCsr proved the arrays well-formed; they must also describe *this*
-  // graph — Engine::FromFrozen's contract is frozen == Freeze(graph).
-  // Compare the multiset of (entity, neighbor, rel_type) triples per
-  // direction via an order-independent fingerprint: O(E), no sorts, and
-  // it catches structurally valid arc content that disagrees with the
-  // edge array (e.g. a resealed file with swapped neighbors).
+  // graph, whose adjacency they become. Compare the multiset of (entity,
+  // neighbor, rel_type) triples per direction via an order-independent
+  // fingerprint: O(E), no sorts, and it catches structurally valid arc
+  // content that disagrees with the edge array (e.g. a resealed file
+  // with swapped neighbors).
   uint64_t out_expected = 0, in_expected = 0;
   for (const EdgeRecord& e : edges) {
     out_expected += MixTriple(e.src, e.dst, e.rel_type);
@@ -574,10 +570,13 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
   if (out_actual != out_expected || in_actual != in_expected) {
     return Corrupt("CSR adjacency disagrees with the edge array");
   }
+  StoredGraph stored;
   stored.graph = GraphAssembler::Assemble(
       std::move(entity_names), std::move(type_names),
       std::move(surface_names), std::move(rel_types),
-      std::move(entity_types), std::move(type_members), std::move(edges));
+      std::move(entity_types), std::move(type_members), std::move(edges),
+      std::move(csr));
+  stored.frozen = stored.graph.csr();
   return stored;
 }
 

@@ -4,13 +4,14 @@
 //   - kStream: one sequential read of the file into a heap buffer; the
 //     graph and CSR are served from that buffer. No mmap involved —
 //     works on filesystems/containers where mapping is undesirable.
-//   - kMmap: the file is mapped read-only and the FrozenGraph CSR spans
-//     point straight into the mapping (zero-copy): pages fault in on
+//   - kMmap: the file is mapped read-only and the graph's CSR adjacency
+//     points straight into the mapping (zero-copy): pages fault in on
 //     demand, live in the shared page cache, and any number of server
 //     processes serving the same snapshot share one physical copy.
 //
-// Either way the EntityGraph side (names, type membership, edge list) is
-// materialized into ordinary structures, and every section is validated
+// Either way the graph adopts the file's CSR sections as its adjacency
+// without copying them; names, type membership and the edge list are
+// materialized into ordinary structures. Every section is validated
 // — magic, version, endianness, size, checksums, offsets, id bounds,
 // CSR monotonicity and sortedness — before anything is trusted, so a
 // corrupt, truncated or wrong-version file yields a clean Status, never
@@ -28,13 +29,13 @@
 
 namespace egp {
 
-/// A loaded snapshot: the materialized entity graph plus the prebuilt
-/// CSR. `frozen` is bit-identical to FrozenGraph::Freeze(graph), so
-/// engines can serve from it without re-freezing.
+/// A loaded snapshot. `graph` serves its adjacency from the file's CSR
+/// sections; `frozen` is a second handle to that same CSR
+/// (graph.csr()), bit-identical to FrozenGraph::Freeze(graph).
 struct StoredGraph {
   EntityGraph graph;
   FrozenGraph frozen;
-  /// True when `frozen` views a file mapping (kMmap open).
+  /// True when the CSR views a file mapping (kMmap open).
   bool zero_copy = false;
 };
 
@@ -51,7 +52,7 @@ Result<StoredGraph> OpenSnapshot(const std::string& path,
                                  const SnapshotOpenOptions& options = {});
 
 /// Parses a snapshot image already in memory. `backing` must keep the
-/// bytes alive; the returned FrozenGraph views them. The image base
+/// bytes alive; the returned graph's CSR views them. The image base
 /// must be 8-byte aligned (mmap and heap allocations always are) —
 /// CSR arrays are served in place; a misaligned base is rejected with
 /// InvalidArgument, never read misaligned.

@@ -139,8 +139,7 @@ constexpr char kPadding[8] = {0};
 size_t AlignUp8(size_t value) { return (value + 7) & ~size_t{7}; }
 
 /// Stages, lays out, and emits the whole snapshot into `sink`.
-Status EmitSnapshot(const EntityGraph& graph, const FrozenGraph& frozen,
-                    ByteSink& sink) {
+Status EmitSnapshot(const EntityGraph& graph, ByteSink& sink) {
   if constexpr (std::endian::native != std::endian::little) {
     return Status::Unimplemented(
         ".egps snapshots are little-endian only; this host is big-endian");
@@ -148,14 +147,7 @@ Status EmitSnapshot(const EntityGraph& graph, const FrozenGraph& frozen,
   if (graph.num_entities() == 0) {
     return Status::InvalidArgument("refusing to snapshot an empty graph");
   }
-  if (frozen.num_entities() != graph.num_entities() ||
-      frozen.num_arcs() != graph.num_edges()) {
-    return Status::InvalidArgument(StrFormat(
-        "frozen graph (%zu entities, %zu arcs) was not derived from this "
-        "entity graph (%zu entities, %zu edges)",
-        frozen.num_entities(), frozen.num_arcs(), graph.num_entities(),
-        graph.num_edges()));
-  }
+  const FrozenGraph& frozen = graph.csr();
 
   // --- Stage the variable-width payloads -------------------------------
   uint64_t meta[kMetaFieldCount] = {};
@@ -293,17 +285,16 @@ Status SyncPath(const std::string& path) {
 
 }  // namespace
 
-Status WriteSnapshot(const EntityGraph& graph, const FrozenGraph& frozen,
-                     std::ostream& out) {
+Status WriteSnapshot(const EntityGraph& graph, std::ostream& out) {
   OstreamSink sink(out);
-  EGP_RETURN_IF_ERROR(EmitSnapshot(graph, frozen, sink));
+  EGP_RETURN_IF_ERROR(EmitSnapshot(graph, sink));
   out.flush();
   if (!out) return Status::IOError("snapshot write failed");
   return Status::OK();
 }
 
-Status WriteSnapshotFile(const EntityGraph& graph, const FrozenGraph& frozen,
-                         const std::string& path) {
+Status CompileSnapshotFile(const EntityGraph& graph,
+                           const std::string& path) {
   // Write temp + fsync + rename + fsync(dir), never truncate in place:
   // a running server may be serving `path` through a MAP_SHARED mapping
   // (the old inode survives the rename untouched), and neither a crash,
@@ -321,7 +312,7 @@ Status WriteSnapshotFile(const EntityGraph& graph, const FrozenGraph& frozen,
   }
   {
     FdSink sink(fd);
-    const Status written = EmitSnapshot(graph, frozen, sink);
+    const Status written = EmitSnapshot(graph, sink);
     if (!written.ok()) {
       ::close(fd);
       std::remove(temp.c_str());
@@ -357,11 +348,6 @@ Status WriteSnapshotFile(const EntityGraph& graph, const FrozenGraph& frozen,
   const size_t slash = path.find_last_of('/');
   return SyncPath(slash == std::string::npos ? "."
                                              : path.substr(0, slash + 1));
-}
-
-Status CompileSnapshotFile(const EntityGraph& graph, const std::string& path,
-                           ThreadPool* pool) {
-  return WriteSnapshotFile(graph, FrozenGraph::Freeze(graph, pool), path);
 }
 
 }  // namespace egp

@@ -3,10 +3,85 @@
 #include <gtest/gtest.h>
 
 #include "core/discover.h"
+#include "datagen/generator.h"
 #include "datagen/paper_example.h"
+#include "tests/testing/edge_scan.h"
 
 namespace egp {
 namespace {
+
+/// A preview with one table per key type listing every candidate
+/// attribute of that type, so same-surface attributes (multi-way
+/// relationships) sit side by side and merging has something to fold.
+Preview EveryCandidatePreview(const PreparedSchema& prepared,
+                              const std::vector<TypeId>& keys) {
+  Preview preview;
+  for (TypeId key : keys) {
+    PreviewTable table;
+    table.key = key;
+    table.nonkeys = prepared.Candidates(key).sorted;
+    preview.tables.push_back(table);
+  }
+  return preview;
+}
+
+/// Every sampled cell equals the union of its column's neighbour sets
+/// computed by scanning the edge array (not the CSR the sampler reads),
+/// under both strategies, merged and unmerged; every table holds
+/// min(rows, members) distinct members of its key type, in the order of
+/// EntitiesOfType.
+void ExpectCellsMatchEdgeScan(const EntityGraph& graph,
+                              const PreparedSchema& prepared,
+                              const Preview& preview, size_t rows,
+                              bool has_multiway) {
+  const testing_util::EdgeScanAdjacency oracle(graph);
+  size_t merged_columns = 0;
+  for (const SamplingStrategy strategy :
+       {SamplingStrategy::kRandom, SamplingStrategy::kFrequencyWeighted}) {
+    for (const bool merge : {false, true}) {
+      SCOPED_TRACE(std::string(strategy == SamplingStrategy::kRandom
+                                   ? "random"
+                                   : "frequency") +
+                   (merge ? " merged" : " unmerged"));
+      TupleSamplerOptions options;
+      options.rows_per_table = rows;
+      options.seed = 11;
+      options.strategy = strategy;
+      options.merge_multiway_columns = merge;
+      const auto mat = MaterializePreview(graph, prepared, preview, options);
+      ASSERT_TRUE(mat.ok()) << mat.status().ToString();
+      ASSERT_EQ(mat->tables.size(), preview.tables.size());
+      for (const MaterializedTable& table : mat->tables) {
+        ASSERT_EQ(table.rows.size(),
+                  std::min<size_t>(rows, table.total_tuples));
+        const std::vector<EntityId>& members =
+            graph.EntitiesOfType(table.key_type);
+        size_t previous = 0;
+        for (size_t r = 0; r < table.rows.size(); ++r) {
+          const size_t position =
+              std::find(members.begin(), members.end(), table.rows[r].key) -
+              members.begin();
+          ASSERT_LT(position, members.size());
+          if (r > 0) EXPECT_LT(previous, position);
+          previous = position;
+        }
+        for (const MaterializedColumn& column : table.columns) {
+          if (column.rel_types.size() > 1) ++merged_columns;
+        }
+        for (const MaterializedRow& row : table.rows) {
+          ASSERT_EQ(row.cells.size(), table.columns.size());
+          for (size_t c = 0; c < table.columns.size(); ++c) {
+            EXPECT_EQ(row.cells[c].values,
+                      oracle.UnionSet(row.key, table.columns[c].rel_types,
+                                      table.columns[c].direction))
+                << "row " << row.key << " column " << table.columns[c].name;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(merged_columns > 0, has_multiway);
+}
 
 class TupleSamplerTest : public ::testing::Test {
  protected:
@@ -50,22 +125,37 @@ TEST_F(TupleSamplerTest, AllTuplesWhenFewerThanRequested) {
   EXPECT_EQ(mat->tables[0].rows.size(), mat->tables[0].total_tuples);
 }
 
-TEST_F(TupleSamplerTest, CellsMatchNeighborSets) {
-  TupleSamplerOptions options;
-  options.rows_per_table = 100;
-  const auto mat = MaterializePreview(graph_, *prepared_, preview_, options);
-  ASSERT_TRUE(mat.ok());
-  for (const MaterializedTable& table : mat->tables) {
-    for (const MaterializedRow& row : table.rows) {
-      ASSERT_EQ(row.cells.size(), table.columns.size());
-      for (size_t c = 0; c < table.columns.size(); ++c) {
-        ASSERT_EQ(table.columns[c].rel_types.size(), 1u);
-        const auto expected =
-            graph_.NeighborSet(row.key, table.columns[c].rel_types[0],
-                               table.columns[c].direction);
-        EXPECT_EQ(row.cells[c].values, expected);
-      }
-    }
+TEST_F(TupleSamplerTest, CellsMatchEdgeScanOnPaperExample) {
+  std::vector<TypeId> keys;
+  for (TypeId t = 0; t < prepared_->schema().num_types(); ++t) {
+    keys.push_back(t);
+  }
+  const Preview every = EveryCandidatePreview(*prepared_, keys);
+  for (const size_t rows : {size_t{1}, size_t{3}, size_t{100}}) {
+    SCOPED_TRACE(rows);
+    ExpectCellsMatchEdgeScan(graph_, *prepared_, every, rows,
+                             /*has_multiway=*/true);
+  }
+}
+
+TEST(TupleSamplerFilmTest, CellsMatchEdgeScanOnFilm) {
+  GeneratorOptions generator;
+  generator.scale = 0.002;
+  auto film = GenerateDomainByName("film", generator);
+  ASSERT_TRUE(film.ok());
+  auto prepared =
+      PreparedSchema::Create(film->schema, MeasureSelection{}, &film->graph);
+  ASSERT_TRUE(prepared.ok());
+  // Every key type, every attribute of each. The generated film schema
+  // has no two same-surface attributes on one key type, so merging
+  // leaves every column as it is.
+  std::vector<TypeId> keys;
+  for (TypeId t = 0; t < film->schema.num_types(); ++t) keys.push_back(t);
+  const Preview every = EveryCandidatePreview(*prepared, keys);
+  for (const size_t rows : {size_t{2}, size_t{5}, size_t{40}}) {
+    SCOPED_TRACE(rows);
+    ExpectCellsMatchEdgeScan(film->graph, *prepared, every, rows,
+                             /*has_multiway=*/false);
   }
 }
 

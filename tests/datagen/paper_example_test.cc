@@ -51,8 +51,8 @@ TEST_F(PaperExampleTest, DoubleEdgeWillToIRobot) {
   const EntityId will = Entity("Will Smith");
   const EntityId irobot = Entity("I, Robot");
   int edges = 0;
-  for (EdgeId id : graph_.OutEdges(will)) {
-    if (graph_.Edge(id).dst == irobot) ++edges;
+  for (const EdgeRecord& edge : graph_.edges()) {
+    if (edge.src == will && edge.dst == irobot) ++edges;
   }
   EXPECT_EQ(edges, 2);
 }

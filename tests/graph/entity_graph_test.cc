@@ -54,9 +54,9 @@ TEST_F(EntityGraphTest, TypeMembership) {
 
 TEST_F(EntityGraphTest, AdjacencyIndexes) {
   const EntityGraph g = MakeSmallGraph();
-  EXPECT_EQ(g.OutEdges(0).size(), 1u);
-  EXPECT_EQ(g.InEdges(2).size(), 2u);
-  EXPECT_TRUE(g.OutEdges(2).empty());
+  EXPECT_EQ(g.csr().OutDegree(0), 1u);
+  EXPECT_EQ(g.csr().InDegree(2), 2u);
+  EXPECT_TRUE(g.csr().OutArcs(2).empty());
   EXPECT_EQ(g.EdgesOfRelType(0).size(), 2u);
 }
 
@@ -165,7 +165,7 @@ TEST(EntityGraphBuilderTest, ParallelEdgesOfDifferentTypes) {
   auto g = b.Build();
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->num_edges(), 2u);
-  EXPECT_EQ(g->OutEdges(will).size(), 2u);
+  EXPECT_EQ(g->csr().OutDegree(will), 2u);
 }
 
 TEST(EntityGraphBuilderTest, BuildResetsBuilder) {

@@ -5,6 +5,7 @@
 #include "datagen/generator.h"
 #include "datagen/paper_example.h"
 #include "graph/entity_graph_builder.h"
+#include "tests/testing/edge_scan.h"
 
 namespace egp {
 namespace {
@@ -14,9 +15,14 @@ TEST(FrozenGraphTest, ArcCountsMatch) {
   const FrozenGraph frozen = FrozenGraph::Freeze(graph);
   EXPECT_EQ(frozen.num_entities(), graph.num_entities());
   EXPECT_EQ(frozen.num_arcs(), graph.num_edges());
+  std::vector<size_t> out(graph.num_entities()), in(graph.num_entities());
+  for (const EdgeRecord& edge : graph.edges()) {
+    ++out[edge.src];
+    ++in[edge.dst];
+  }
   for (EntityId e = 0; e < graph.num_entities(); ++e) {
-    EXPECT_EQ(frozen.OutDegree(e), graph.OutEdges(e).size());
-    EXPECT_EQ(frozen.InDegree(e), graph.InEdges(e).size());
+    EXPECT_EQ(frozen.OutDegree(e), out[e]);
+    EXPECT_EQ(frozen.InDegree(e), in[e]);
   }
 }
 
@@ -35,14 +41,40 @@ TEST(FrozenGraphTest, ArcsSortedByRelTypeThenNeighbor) {
   }
 }
 
-TEST(FrozenGraphTest, NeighborSetsMatchEntityGraphOnPaperExample) {
+TEST(FrozenGraphTest, NeighborSetsMatchEdgeScanOnPaperExample) {
   const EntityGraph graph = BuildPaperExampleGraph();
-  const FrozenGraph frozen = FrozenGraph::Freeze(graph);
+  const testing_util::EdgeScanAdjacency oracle(graph);
   for (EntityId e = 0; e < graph.num_entities(); ++e) {
     for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
       for (Direction d : {Direction::kOutgoing, Direction::kIncoming}) {
-        EXPECT_EQ(frozen.NeighborSet(e, r, d), graph.NeighborSet(e, r, d))
+        EXPECT_EQ(graph.NeighborSet(e, r, d), oracle.NeighborSet(e, r, d))
             << "entity " << e << " rel " << r;
+      }
+    }
+  }
+}
+
+TEST(FrozenGraphTest, BuiltGraphCarriesItsFreeze) {
+  const EntityGraph graph = BuildPaperExampleGraph();
+  const FrozenGraph frozen = FrozenGraph::Freeze(graph);
+  EXPECT_FALSE(graph.csr().is_view());
+  EXPECT_TRUE(std::equal(frozen.out_offsets().begin(),
+                         frozen.out_offsets().end(),
+                         graph.csr().out_offsets().begin(),
+                         graph.csr().out_offsets().end()));
+  EXPECT_TRUE(std::equal(frozen.in_offsets().begin(),
+                         frozen.in_offsets().end(),
+                         graph.csr().in_offsets().begin(),
+                         graph.csr().in_offsets().end()));
+  for (EntityId e = 0; e < graph.num_entities(); ++e) {
+    for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
+      for (Direction d : {Direction::kOutgoing, Direction::kIncoming}) {
+        const auto a = frozen.RelArcs(e, r, d);
+        const auto b = graph.csr().RelArcs(e, r, d);
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].neighbor, b[i].neighbor);
+        }
       }
     }
   }
@@ -53,13 +85,13 @@ TEST(FrozenGraphTest, NeighborSetsMatchOnGeneratedDomain) {
   options.scale = 0.0003;
   auto domain = GenerateDomainByName("people", options);
   ASSERT_TRUE(domain.ok());
-  const FrozenGraph frozen = FrozenGraph::Freeze(domain->graph);
+  const testing_util::EdgeScanAdjacency oracle(domain->graph);
   // Spot-check a deterministic sample of (entity, rel type) pairs.
   for (EntityId e = 0; e < domain->graph.num_entities(); e += 97) {
     for (RelTypeId r = 0; r < domain->graph.num_rel_types(); r += 7) {
       for (Direction d : {Direction::kOutgoing, Direction::kIncoming}) {
-        EXPECT_EQ(frozen.NeighborSet(e, r, d),
-                  domain->graph.NeighborSet(e, r, d));
+        EXPECT_EQ(domain->graph.NeighborSet(e, r, d),
+                  oracle.NeighborSet(e, r, d));
       }
     }
   }
@@ -84,7 +116,8 @@ TEST(FrozenGraphTest, EmptyAdjacency) {
   const FrozenGraph frozen = FrozenGraph::Freeze(*graph);
   EXPECT_TRUE(frozen.OutArcs(0).empty());
   EXPECT_TRUE(frozen.InArcs(0).empty());
-  EXPECT_TRUE(frozen.NeighborSet(0, 0, Direction::kOutgoing).empty());
+  EXPECT_TRUE(frozen.RelArcs(0, 0, Direction::kOutgoing).empty());
+  EXPECT_TRUE(graph->NeighborSet(0, 0, Direction::kOutgoing).empty());
 }
 
 }  // namespace

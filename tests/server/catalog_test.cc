@@ -79,10 +79,11 @@ TEST(DatasetCatalogTest, LoadsSnapshotsAndHandsFrozenToEngine) {
     EXPECT_EQ(catalog->infos()[0].name, "snap");
     EXPECT_EQ(catalog->infos()[0].storage, "snapshot");
     EXPECT_EQ(catalog->infos()[1].storage, "nt");
-    // The snapshot engine carries the prebuilt CSR; the text one not.
+    // The snapshot engine serves the CSR in place from the file image
+    // (mapped or read); the text one froze its own.
     ASSERT_NE(catalog->Find("snap"), nullptr);
-    EXPECT_NE(catalog->Find("snap")->frozen(), nullptr);
-    EXPECT_EQ(catalog->Find("text")->frozen(), nullptr);
+    EXPECT_TRUE(catalog->Find("snap")->graph()->csr().is_view());
+    EXPECT_FALSE(catalog->Find("text")->graph()->csr().is_view());
     // Both serve the same graph.
     EXPECT_EQ(catalog->infos()[0].entities, catalog->infos()[1].entities);
     EXPECT_EQ(catalog->infos()[0].relationships,

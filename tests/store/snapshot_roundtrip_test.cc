@@ -66,35 +66,6 @@ EntityGraph CornersGraph() {
   return std::move(graph).value();
 }
 
-void ExpectSameGraph(const EntityGraph& a, const EntityGraph& b) {
-  ASSERT_EQ(a.num_entities(), b.num_entities());
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  ASSERT_EQ(a.num_types(), b.num_types());
-  ASSERT_EQ(a.num_rel_types(), b.num_rel_types());
-  for (EntityId e = 0; e < a.num_entities(); ++e) {
-    EXPECT_EQ(a.EntityName(e), b.EntityName(e));
-    EXPECT_EQ(a.TypesOf(e), b.TypesOf(e));
-    EXPECT_EQ(a.OutEdges(e), b.OutEdges(e));
-    EXPECT_EQ(a.InEdges(e), b.InEdges(e));
-  }
-  for (TypeId t = 0; t < a.num_types(); ++t) {
-    EXPECT_EQ(a.TypeName(t), b.TypeName(t));
-    // Order preserved, not just the set: sampling is order-sensitive.
-    EXPECT_EQ(a.EntitiesOfType(t), b.EntitiesOfType(t));
-  }
-  for (RelTypeId r = 0; r < a.num_rel_types(); ++r) {
-    EXPECT_EQ(a.RelSurfaceName(r), b.RelSurfaceName(r));
-    EXPECT_EQ(a.RelType(r).src_type, b.RelType(r).src_type);
-    EXPECT_EQ(a.RelType(r).dst_type, b.RelType(r).dst_type);
-    EXPECT_EQ(a.EdgesOfRelType(r), b.EdgesOfRelType(r));
-  }
-  for (EdgeId id = 0; id < a.num_edges(); ++id) {
-    EXPECT_EQ(a.Edge(id).src, b.Edge(id).src);
-    EXPECT_EQ(a.Edge(id).dst, b.Edge(id).dst);
-    EXPECT_EQ(a.Edge(id).rel_type, b.Edge(id).rel_type);
-  }
-}
-
 void ExpectSameFrozen(const FrozenGraph& a, const FrozenGraph& b) {
   ASSERT_EQ(a.num_entities(), b.num_entities());
   ASSERT_EQ(a.num_arcs(), b.num_arcs());
@@ -114,11 +85,39 @@ void ExpectSameFrozen(const FrozenGraph& a, const FrozenGraph& b) {
   }
 }
 
+void ExpectSameGraph(const EntityGraph& a, const EntityGraph& b) {
+  ASSERT_EQ(a.num_entities(), b.num_entities());
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  ASSERT_EQ(a.num_types(), b.num_types());
+  ASSERT_EQ(a.num_rel_types(), b.num_rel_types());
+  for (EntityId e = 0; e < a.num_entities(); ++e) {
+    EXPECT_EQ(a.EntityName(e), b.EntityName(e));
+    EXPECT_EQ(a.TypesOf(e), b.TypesOf(e));
+  }
+  for (TypeId t = 0; t < a.num_types(); ++t) {
+    EXPECT_EQ(a.TypeName(t), b.TypeName(t));
+    // Order preserved, not just the set: sampling is order-sensitive.
+    EXPECT_EQ(a.EntitiesOfType(t), b.EntitiesOfType(t));
+  }
+  for (RelTypeId r = 0; r < a.num_rel_types(); ++r) {
+    EXPECT_EQ(a.RelSurfaceName(r), b.RelSurfaceName(r));
+    EXPECT_EQ(a.RelType(r).src_type, b.RelType(r).src_type);
+    EXPECT_EQ(a.RelType(r).dst_type, b.RelType(r).dst_type);
+    EXPECT_EQ(a.EdgesOfRelType(r), b.EdgesOfRelType(r));
+  }
+  for (EdgeId id = 0; id < a.num_edges(); ++id) {
+    EXPECT_EQ(a.Edge(id).src, b.Edge(id).src);
+    EXPECT_EQ(a.Edge(id).dst, b.Edge(id).dst);
+    EXPECT_EQ(a.Edge(id).rel_type, b.Edge(id).rel_type);
+  }
+  ExpectSameFrozen(a.csr(), b.csr());
+}
+
 TEST(SnapshotRoundtripTest, CornersGraphBothOpenModes) {
   const EntityGraph graph = CornersGraph();
   const FrozenGraph frozen = FrozenGraph::Freeze(graph);
   const std::string path = TempPath("corners.egps");
-  ASSERT_TRUE(WriteSnapshotFile(graph, frozen, path).ok());
+  ASSERT_TRUE(CompileSnapshotFile(graph, path).ok());
 
   for (const auto mode : {SnapshotOpenOptions::Mode::kStream,
                           SnapshotOpenOptions::Mode::kMmap}) {
@@ -131,6 +130,9 @@ TEST(SnapshotRoundtripTest, CornersGraphBothOpenModes) {
     EXPECT_EQ(stored->zero_copy,
               mode == SnapshotOpenOptions::Mode::kMmap);
     EXPECT_EQ(stored->frozen.is_view(), true);
+    // The graph adopts the file's CSR; `frozen` is a handle onto it.
+    EXPECT_EQ(stored->graph.csr().out_arcs().data(),
+              stored->frozen.out_arcs().data());
     ExpectSameGraph(graph, stored->graph);
     ExpectSameFrozen(frozen, stored->frozen);
   }
@@ -145,7 +147,7 @@ TEST(SnapshotRoundtripTest, DatagenDomainSurvives) {
   const FrozenGraph frozen = FrozenGraph::Freeze(domain->graph);
   std::stringstream buffer(std::ios::in | std::ios::out |
                            std::ios::binary);
-  ASSERT_TRUE(WriteSnapshot(domain->graph, frozen, buffer).ok());
+  ASSERT_TRUE(WriteSnapshot(domain->graph, buffer).ok());
   const std::string bytes = buffer.str();
   auto owned = std::make_shared<std::vector<uint8_t>>(bytes.begin(),
                                                       bytes.end());
@@ -166,7 +168,7 @@ TEST(SnapshotRoundtripTest, PreviewBitIdentityAllMeasures) {
   request.sample_rows = 3;
   request.sample_seed = 7;
   request.measures.key = "randomwalk";
-  request.measures.nonkey = "entropy";  // exercises the prebuilt CSR path
+  request.measures.nonkey = "entropy";  // scans the file's CSR
 
   const Engine golden_engine = Engine::FromGraph(EntityGraph(*parsed));
   const auto golden = golden_engine.Preview(request);
@@ -186,7 +188,7 @@ TEST(SnapshotRoundtripTest, PreviewBitIdentityAllMeasures) {
     ASSERT_TRUE(stored.ok()) << stored.status().ToString();
     const Engine engine = Engine::FromFrozen(std::move(stored->graph),
                                              std::move(stored->frozen));
-    ASSERT_NE(engine.frozen(), nullptr);
+    EXPECT_EQ(engine.graph()->csr().is_view(), true);
     const auto served = engine.Preview(request);
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     EXPECT_EQ(golden->score, served->score);
@@ -210,7 +212,7 @@ TEST(SnapshotRoundtripTest, AutoLoaderDetectsByMagicNotExtension) {
   auto loaded = LoadGraphFileAuto(disguised);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->storage, GraphStorage::kSnapshot);
-  ASSERT_TRUE(loaded->frozen.has_value());
+  EXPECT_TRUE(loaded->graph.csr().is_view());
   ExpectSameGraph(*parsed, loaded->graph);
   std::remove(disguised.c_str());
 

@@ -175,13 +175,9 @@ Result<LoadedGraph> LoadGraph(const std::string& path) {
   return LoadGraphFileAuto(path);
 }
 
-/// Engine over a loaded graph; snapshot loads hand their prebuilt CSR to
-/// the engine so nothing is re-frozen.
+/// Engine over a loaded graph (a snapshot's graph keeps serving the
+/// file's CSR).
 Engine MakeEngine(LoadedGraph loaded, const EngineOptions& options = {}) {
-  if (loaded.frozen) {
-    return Engine::FromFrozen(std::move(loaded.graph),
-                              std::move(*loaded.frozen), options);
-  }
   return Engine::FromGraph(std::move(loaded.graph), options);
 }
 
@@ -398,8 +394,6 @@ int CmdReport(const std::string& path, const Flags& flags) {
   const Status measures = ParseMeasureFlags(flags, &options.measures);
   if (!measures.ok()) return UsageError(measures.message());
   options.include_dot = flags.Has("dot");
-  // Snapshot loads carry a prebuilt CSR; the report's scoring reuses it.
-  options.frozen = graph->frozen ? &*graph->frozen : nullptr;
   const auto report = GeneratePreviewReport(graph->graph, options);
   if (!report.ok()) return Fail(report.status());
   std::printf("%s", report->c_str());

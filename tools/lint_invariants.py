@@ -3,7 +3,7 @@
 
 Scope: first-party C++ under src/, tools/, bench/ (tests are exempt —
 they deliberately poke at internals, e.g. raw sockets for misbehaving
-clients). Eight rule families, each born from a real bug class here:
+clients). Nine rule families, each born from a real bug class here:
 
   blocking-io   The event-loop serving core must never block on a
                 socket. The convenience blocking wrappers (SendAll,
@@ -62,6 +62,15 @@ clients). Eight rule families, each born from a real bug class here:
                 spell an `le=` label literal, declare an array of
                 std::atomic<uint64_t> (buckets), or define a constexpr
                 `k...Bounds` table.
+
+  one-adjacency The graph's adjacency is the one CSR of
+                src/graph/frozen_graph.h that every EntityGraph carries
+                (EntityGraph::csr()). Per-entity edge-id lists once held
+                the same adjacency a second time: the snapshot loader
+                rebuilt them with push_back although the file holds the
+                CSR, and row sampling chased edge ids through them.
+                src/ may not spell `out_edges_`/`in_edges_` or call
+                `OutEdges(`/`InEdges(`.
 
   layering      Modules form a DAG; an #include against the arrow
                 (core/ including server/, say) couples the algorithm
@@ -167,6 +176,13 @@ HISTOGRAM_FORBIDDEN_RE = re.compile(
     r"|std::atomic\s*<\s*(?:std::)?uint64_t\s*>\s*\w+\s*\["
     r"|\bconstexpr\b.*\bk\w*Bounds\w*\s*[\[={]")
 STRING_LITERAL_RE = re.compile(r'"(?:\\.|[^"\\\n])*"')
+
+# ---------------------------------------------------------------------------
+# Rule: one-adjacency
+# ---------------------------------------------------------------------------
+# Applies to src/ only: per-entity edge-list adjacency beside the CSR.
+ADJACENCY_FORBIDDEN_RE = re.compile(
+    r"\b(?:out_edges_|in_edges_)\b|\b(?:OutEdges|InEdges)\s*\(")
 
 # ---------------------------------------------------------------------------
 # Rule: layering
@@ -292,6 +308,13 @@ def scan_file(rel_path: str, findings: list) -> None:
                     f"starts a second histogram scheme — use Histogram "
                     f"(src/common/histogram.h) and render it through "
                     f"RenderMetricFamilies (src/server/metrics.h)")
+        if rel_path.startswith("src/"):
+            m = ADJACENCY_FORBIDDEN_RE.search(line)
+            if m:
+                findings.append(
+                    f"{rel_path}:{lineno}: [one-adjacency] `{m.group(0)}` "
+                    f"keeps a second adjacency — read the graph's CSR "
+                    f"(EntityGraph::csr(), src/graph/frozen_graph.h)")
         if module is not None:
             for inc in QUOTED_INCLUDE_RE.findall(line):
                 target = inc.split("/", 1)[0]
