@@ -1,6 +1,9 @@
 #include "common/rng.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 namespace egp {
 namespace {
@@ -101,19 +104,43 @@ size_t Rng::NextWeighted(const std::vector<double>& weights) {
 }
 
 std::vector<size_t> Rng::SampleIndices(size_t n, size_t k) {
+  std::vector<size_t> picked;
   if (k >= n) {
-    std::vector<size_t> all(n);
-    for (size_t i = 0; i < n; ++i) all[i] = i;
-    return all;
+    picked.resize(n);
+    std::iota(picked.begin(), picked.end(), size_t{0});
+    return picked;
   }
-  // Reservoir sampling; result order is randomized by the algorithm.
-  std::vector<size_t> reservoir(k);
-  for (size_t i = 0; i < k; ++i) reservoir[i] = i;
-  for (size_t i = k; i < n; ++i) {
-    size_t j = NextBoundedPositive(i + 1);
-    if (j < k) reservoir[j] = i;
+  // Floyd's algorithm: for j = n-k, ..., n-1, draw t uniform in [0, j]
+  // and take t, or j when t is already taken (j exceeds every index taken
+  // before it, so it is always free). After k draws every k-subset has
+  // probability 1/C(n, k). Membership is an open-addressing set of
+  // index + 1 (0 marks a free slot), at most half full, so each draw
+  // costs O(1) expected whatever n is.
+  const size_t capacity = std::bit_ceil(2 * k);
+  const size_t mask = capacity - 1;
+  std::vector<size_t> slots(capacity, 0);
+  const auto insert = [&slots, mask](size_t index) {
+    size_t slot = static_cast<size_t>((index * 0x9E3779B97F4A7C15ull) >> 32);
+    for (;; ++slot) {
+      size_t& entry = slots[slot & mask];
+      if (entry == index + 1) return false;
+      if (entry == 0) {
+        entry = index + 1;
+        return true;
+      }
+    }
+  };
+  picked.reserve(k);
+  for (size_t j = n - k; j < n; ++j) {
+    size_t index = NextBoundedPositive(j + 1);
+    if (!insert(index)) {
+      index = j;
+      insert(j);
+    }
+    picked.push_back(index);
   }
-  return reservoir;
+  std::sort(picked.begin(), picked.end());
+  return picked;
 }
 
 Rng Rng::Fork() { return Rng(Next()); }

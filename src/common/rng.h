@@ -52,15 +52,17 @@ class Rng {
     }
   }
 
-  /// Reservoir-samples k distinct indices from [0, n).
+  /// A uniform k-subset of [0, n), ascending (every index when k >= n).
+  /// O(k log k): k bounded draws (Floyd's algorithm) and a sort of the k
+  /// picks, independent of n.
   std::vector<size_t> SampleIndices(size_t n, size_t k);
 
   /// Derives an independent child generator (for parallel streams).
   Rng Fork();
 
  private:
-  /// NextBounded without the bound check, so the reservoir loop (whose
-  /// bounds are always positive) inlines it.
+  /// NextBounded without the bound check, so the SampleIndices loop
+  /// (whose bounds are always positive) inlines it.
   uint64_t NextBoundedPositive(uint64_t bound);
 
   uint64_t state_[4];

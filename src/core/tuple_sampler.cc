@@ -95,6 +95,8 @@ Result<MaterializedPreview> MaterializePreview(
     const std::vector<EntityId>& members = graph.EntitiesOfType(table.key);
     mat.total_tuples = members.size();
 
+    // Member positions of the sampled rows, ascending: rows appear in
+    // EntitiesOfType order under either strategy.
     std::vector<size_t> picked;
     switch (options.strategy) {
       case SamplingStrategy::kRandom:
@@ -120,10 +122,10 @@ Result<MaterializedPreview> MaterializePreview(
                             return a.first > b.first;
                           });
         for (size_t i = 0; i < take; ++i) picked.push_back(scored[i].second);
+        std::sort(picked.begin(), picked.end());
         break;
       }
     }
-    std::sort(picked.begin(), picked.end());
 
     for (size_t index : picked) {
       MaterializedRow row;

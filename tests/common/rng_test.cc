@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -130,8 +132,10 @@ TEST(RngTest, SampleIndicesDistinctAndInRange) {
 
 TEST(RngTest, SampleIndicesWhenKExceedsN) {
   Rng rng(43);
-  const auto picked = rng.SampleIndices(4, 10);
-  EXPECT_EQ(picked.size(), 4u);
+  EXPECT_EQ(rng.SampleIndices(4, 10), (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(rng.SampleIndices(4, 4), (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(rng.SampleIndices(4, 0).empty());
+  EXPECT_TRUE(rng.SampleIndices(0, 3).empty());
 }
 
 TEST(RngTest, NextBoundedStreamIsPinned) {
@@ -171,6 +175,9 @@ TEST(RngTest, NextBoundedStreamIsPinned) {
 }
 
 TEST(RngTest, SampleIndicesStreamIsPinned) {
+  // Floyd's draw from seed 2026, and the raw Next() that follows it. The
+  // trailing values are the (k+1)-th raw draw of the seed, so each sample
+  // consumed exactly k draws.
   struct Case {
     size_t n;
     size_t k;
@@ -178,17 +185,74 @@ TEST(RngTest, SampleIndicesStreamIsPinned) {
     uint64_t next;
   };
   const Case cases[] = {
-      {7, 3, {5, 6, 4}, 14979407190658529994ull},
-      {1000, 5, {124, 319, 196, 173, 709}, 11765025426974196178ull},
+      {7, 3, {2, 4, 5}, 16485387573092771586ull},
+      {1000, 5, {30, 776, 845, 912, 994}, 14550481288924459336ull},
       {100000,
        8,
-       {80614, 5267, 75957, 5527, 75408, 41654, 56364, 43524},
-       2372290106063226574ull},
+       {14050, 20677, 21239, 28373, 36077, 46746, 70518, 92318},
+       15882879679256567931ull},
   };
   for (const Case& c : cases) {
     Rng rng(2026);
     EXPECT_EQ(rng.SampleIndices(c.n, c.k), c.picked) << "n " << c.n;
     EXPECT_EQ(rng.Next(), c.next) << "n " << c.n;
+  }
+}
+
+/// Pearson's chi-square of how often each k-subset of [0, n) is drawn
+/// against the uniform 1/C(n, k).
+double SubsetChiSquare(size_t n, size_t k, size_t draws, size_t* subsets) {
+  Rng rng(20261020);
+  std::map<std::vector<size_t>, size_t> counts;
+  for (size_t i = 0; i < draws; ++i) ++counts[rng.SampleIndices(n, k)];
+  *subsets = counts.size();
+  double expected = static_cast<double>(draws);
+  // C(n, k) by the multiplicative formula.
+  double total = 1.0;
+  for (size_t i = 0; i < k; ++i) {
+    total = total * static_cast<double>(n - i) / static_cast<double>(i + 1);
+  }
+  expected /= total;
+  double chi = 0.0;
+  for (const auto& [subset, count] : counts) {
+    const double d = static_cast<double>(count) - expected;
+    chi += d * d / expected;
+  }
+  // Subsets never drawn contribute expected each.
+  chi += (total - static_cast<double>(counts.size())) * expected;
+  return chi;
+}
+
+TEST(RngTest, SampleIndicesIsUniformOverSubsets) {
+  // Critical values at p = 0.001: 36.12 for 14 degrees of freedom (the 15
+  // 2-subsets of 6), 27.88 for 9 (the 10 3-subsets of 5).
+  size_t subsets = 0;
+  EXPECT_LT(SubsetChiSquare(6, 2, 30000, &subsets), 36.12);
+  EXPECT_EQ(subsets, 15u);
+  EXPECT_LT(SubsetChiSquare(5, 3, 20000, &subsets), 27.88);
+  EXPECT_EQ(subsets, 10u);
+}
+
+TEST(RngTest, SampleIndicesLargeDrawsAreDistinctAscendingAndLinear) {
+  // k = n-1 and k = n/2 at the API's row cap: a linear membership scan
+  // would take ~5e9 steps here; the hash set takes ~1e5.
+  struct Case {
+    size_t n;
+    size_t k;
+  };
+  for (const Case c : {Case{200001, 200000}, Case{200000, 100000}}) {
+    Rng rng(c.n);
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<size_t> picked = rng.SampleIndices(c.n, c.k);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    ASSERT_EQ(picked.size(), c.k);
+    for (size_t i = 1; i < picked.size(); ++i) {
+      ASSERT_LT(picked[i - 1], picked[i]) << "at " << i;
+    }
+    EXPECT_LT(picked.back(), c.n);
+    EXPECT_LT(seconds, 1.0) << "k " << c.k << " of " << c.n;
   }
 }
 
