@@ -1,6 +1,7 @@
 #include "core/tuple_sampler.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/rng.h"
 
@@ -15,8 +16,10 @@ std::vector<EntityId> ColumnValues(const EntityGraph& graph, EntityId entity,
                                    const MaterializedColumn& column) {
   std::vector<EntityId> values;
   for (RelTypeId rel : column.rel_types) {
-    for (const FrozenGraph::Arc& arc :
-         graph.csr().RelArcs(entity, rel, column.direction)) {
+    const std::span<const FrozenGraph::Arc> run =
+        graph.csr().RelArcs(entity, rel, column.direction);
+    values.reserve(values.size() + run.size());
+    for (const FrozenGraph::Arc& arc : run) {
       if (values.empty() || values.back() != arc.neighbor) {
         values.push_back(arc.neighbor);
       }
