@@ -32,7 +32,8 @@ double ReferenceEntropy(const EntityGraph& graph,
       direction == Direction::kOutgoing ? info.src_type : info.dst_type;
   std::map<std::vector<EntityId>, uint64_t> groups;
   for (EntityId e : graph.EntitiesOfType(key_type)) {
-    std::vector<EntityId> values = adjacency.NeighborSet(e, rel_type, direction);
+    std::vector<EntityId> values =
+        adjacency.NeighborSet(e, rel_type, direction);
     if (values.empty()) continue;  // |t.γ| counts non-empty tuples only.
     ++groups[std::move(values)];
   }

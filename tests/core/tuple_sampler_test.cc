@@ -62,7 +62,9 @@ void ExpectCellsMatchEdgeScan(const EntityGraph& graph,
               std::find(members.begin(), members.end(), table.rows[r].key) -
               members.begin();
           ASSERT_LT(position, members.size());
-          if (r > 0) EXPECT_LT(previous, position);
+          if (r > 0) {
+            EXPECT_LT(previous, position);
+          }
           previous = position;
         }
         for (const MaterializedColumn& column : table.columns) {

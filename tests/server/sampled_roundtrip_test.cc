@@ -52,7 +52,8 @@ void ExpectRowsDistinctAndOrdered(const EntityGraph& graph,
   ASSERT_NE(tables, nullptr);
   ASSERT_FALSE(tables->array().empty());
   for (const JsonValue& table : tables->array()) {
-    const auto type = graph.type_names().Find(table.Find("key")->string_value());
+    const auto type =
+        graph.type_names().Find(table.Find("key")->string_value());
     ASSERT_TRUE(type.has_value());
     const std::vector<EntityId>& members = graph.EntitiesOfType(*type);
     EXPECT_EQ(table.Find("totalTuples")->number_value(),
@@ -72,7 +73,9 @@ void ExpectRowsDistinctAndOrdered(const EntityGraph& graph,
       const auto it = position.find(*entity);
       ASSERT_NE(it, position.end()) << "row is not a member of its key type";
       // Strictly increasing member positions: distinct and ordered.
-      if (r > 0) EXPECT_LT(previous, it->second);
+      if (r > 0) {
+        EXPECT_LT(previous, it->second);
+      }
       previous = it->second;
       EXPECT_EQ(table_rows[r].Find("cells")->array().size(), columns);
     }
