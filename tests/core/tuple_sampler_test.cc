@@ -5,6 +5,7 @@
 #include "core/discover.h"
 #include "datagen/generator.h"
 #include "datagen/paper_example.h"
+#include "graph/entity_graph_builder.h"
 #include "tests/testing/edge_scan.h"
 
 namespace egp {
@@ -243,6 +244,46 @@ TEST_F(TupleSamplerTest, MultiwayMergeFoldsSameSurfaceColumns) {
     }
   }
   EXPECT_TRUE(found_barry);
+}
+
+TEST(TupleSamplerMergeTest, MergedCellsAreSortedDistinctUnions) {
+  // Key `a` reaches `c` (the smaller id) only through the second
+  // relationship type and the doubly typed `d` through both, so a merged
+  // cell that concatenated the runs would come out unsorted and with `d`
+  // twice.
+  EntityGraphBuilder b;
+  const TypeId key = b.AddEntityType("A");
+  const TypeId left = b.AddEntityType("B");
+  const TypeId right = b.AddEntityType("C");
+  const RelTypeId to_left = b.AddRelationshipType("r", key, left);
+  const RelTypeId to_right = b.AddRelationshipType("r", key, right);
+  const EntityId a = b.AddTypedEntity("a", "A");
+  const EntityId c = b.AddTypedEntity("c", "C");
+  const EntityId bb = b.AddTypedEntity("b", "B");
+  const EntityId d = b.AddTypedEntity("d", "B");
+  b.AddEntityToType(d, right);
+  ASSERT_TRUE(b.AddEdge(a, to_left, bb).ok());
+  ASSERT_TRUE(b.AddEdge(a, to_left, d).ok());
+  ASSERT_TRUE(b.AddEdge(a, to_right, c).ok());
+  ASSERT_TRUE(b.AddEdge(a, to_right, d).ok());
+  auto graph = b.Build();
+  ASSERT_TRUE(graph.ok());
+  auto prepared = PreparedSchema::Create(SchemaGraph::FromEntityGraph(*graph),
+                                         MeasureSelection{});
+  ASSERT_TRUE(prepared.ok());
+  Preview preview;
+  PreviewTable table;
+  table.key = key;
+  table.nonkeys = prepared->Candidates(key).sorted;
+  preview.tables = {table};
+  TupleSamplerOptions options;
+  options.merge_multiway_columns = true;
+  const auto mat = MaterializePreview(*graph, *prepared, preview, options);
+  ASSERT_TRUE(mat.ok());
+  ASSERT_EQ(mat->tables[0].columns.size(), 1u);
+  ASSERT_EQ(mat->tables[0].rows.size(), 1u);
+  EXPECT_EQ(mat->tables[0].rows[0].cells[0].values,
+            (std::vector<EntityId>{c, bb, d}));
 }
 
 TEST_F(TupleSamplerTest, MultiwayMergeOffKeepsColumnsSeparate) {
