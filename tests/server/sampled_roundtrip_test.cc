@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "datagen/generator.h"
 #include "io/json_parser.h"
 #include "server/api.h"
@@ -98,18 +99,18 @@ TEST(SampledRoundTripTest, BodiesParseAndRowsAreDistinctAndOrdered) {
     for (const size_t rows : {size_t{1}, size_t{5}, largest + 1}) {
       for (const char* strategy : {"random", "frequency"}) {
         for (const bool merge : {false, true}) {
-          SCOPED_TRACE(dataset + " rows " + std::to_string(rows) + " " +
-                       strategy + (merge ? " merge" : " nomerge"));
+          SCOPED_TRACE(::testing::Message()
+                       << dataset << " rows " << rows << " " << strategy
+                       << (merge ? " merge" : " nomerge"));
           HttpRequest request;
           request.method = "POST";
           request.target = "/v1/preview";
-          request.body = "{\"dataset\":\"" + dataset +
-                         "\",\"k\":3,\"n\":" + std::to_string(n) +
-                         ",\"sample\":{\"rows\":" + std::to_string(rows) +
-                         ",\"seed\":" + std::to_string(rows * 31 + bodies) +
-                         ",\"strategy\":\"" + strategy +
-                         "\",\"mergeMultiway\":" +
-                         (merge ? "true" : "false") + "}}";
+          request.body = StrFormat(
+              "{\"dataset\":\"%s\",\"k\":3,\"n\":%zu,\"sample\":{"
+              "\"rows\":%zu,\"seed\":%zu,\"strategy\":\"%s\","
+              "\"mergeMultiway\":%s}}",
+              dataset.c_str(), n, rows, rows * 31 + bodies, strategy,
+              merge ? "true" : "false");
           const HttpResponse response = service.Handle(request);
           ASSERT_EQ(response.status, 200) << response.body;
           const auto parsed = ParseJson(response.body);

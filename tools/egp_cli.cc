@@ -175,12 +175,6 @@ Result<LoadedGraph> LoadGraph(const std::string& path) {
   return LoadGraphFileAuto(path);
 }
 
-/// Engine over a loaded graph (a snapshot's graph keeps serving the
-/// file's CSR).
-Engine MakeEngine(LoadedGraph loaded, const EngineOptions& options = {}) {
-  return Engine::FromGraph(std::move(loaded.graph), options);
-}
-
 /// Runtime failure (exit 1): the request was well-formed but could not be
 /// served.
 int Fail(const Status& status) {
@@ -247,7 +241,7 @@ Status ParseMeasureFlags(const Flags& flags, MeasureSelection* measures) {
 int CmdStats(const std::string& path) {
   auto graph = LoadGraph(path);
   if (!graph.ok()) return Fail(graph.status());
-  const Engine engine = MakeEngine(std::move(graph).value());
+  const Engine engine = Engine::FromGraph(std::move(graph->graph));
   const EntityGraphStats g = ComputeEntityGraphStats(*engine.graph());
   const SchemaGraphStats s = ComputeSchemaGraphStats(engine.schema());
   std::printf("entity graph : %llu entities, %llu relationships\n",
@@ -294,7 +288,8 @@ int CmdPreview(const std::string& path, const Flags& flags) {
   EngineOptions engine_options;
   const Status threads = ParseThreadsFlag(flags, &engine_options);
   if (!threads.ok()) return UsageError(threads.message());
-  const Engine engine = MakeEngine(std::move(graph).value(), engine_options);
+  const Engine engine =
+      Engine::FromGraph(std::move(graph->graph), engine_options);
 
   PreviewRequest request;
   const Status constraints = ParseConstraintFlags(
@@ -366,7 +361,8 @@ int CmdSuggest(const std::string& path, const Flags& flags) {
   EngineOptions engine_options;
   const Status threads = ParseThreadsFlag(flags, &engine_options);
   if (!threads.ok()) return UsageError(threads.message());
-  const Engine engine = MakeEngine(std::move(graph).value(), engine_options);
+  const Engine engine =
+      Engine::FromGraph(std::move(graph->graph), engine_options);
   DisplayBudget budget;
   const auto width = flags.GetInt("width", 120);
   const auto height = flags.GetInt("height", 40);
