@@ -98,15 +98,16 @@ std::vector<double> SeedKeyRandomWalkDense(const SchemaGraph& schema,
 double SeedRelationshipEntropyPairSort(const EntityGraph& graph,
                                        RelTypeId rel_type,
                                        Direction direction) {
-  const auto& edge_ids = graph.EdgesOfRelType(rel_type);
+  // The relationship's edges: the out-arcs of its source-type members.
   std::vector<std::pair<EntityId, EntityId>> pairs;
-  pairs.reserve(edge_ids.size());
-  for (EdgeId id : edge_ids) {
-    const EdgeRecord& e = graph.Edge(id);
-    if (direction == Direction::kOutgoing) {
-      pairs.emplace_back(e.src, e.dst);
-    } else {
-      pairs.emplace_back(e.dst, e.src);
+  for (EntityId src : graph.EntitiesOfType(graph.RelType(rel_type).src_type)) {
+    for (const FrozenGraph::Arc& arc :
+         graph.csr().RelArcs(src, rel_type, Direction::kOutgoing)) {
+      if (direction == Direction::kOutgoing) {
+        pairs.emplace_back(src, arc.neighbor);
+      } else {
+        pairs.emplace_back(arc.neighbor, src);
+      }
     }
   }
   std::sort(pairs.begin(), pairs.end());

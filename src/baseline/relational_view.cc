@@ -9,22 +9,24 @@ namespace egp {
 namespace {
 
 /// Entropy of the distribution of target-entity occurrences for one
-/// relationship type seen from one side.
+/// relationship type seen from one side. The relationship's edges are
+/// the out-arcs of its source-type members, each edge exactly once.
 double ColumnEntropy(const EntityGraph& graph, RelTypeId rel,
                      Direction direction, uint64_t* distinct,
                      uint64_t* occurrences) {
   std::unordered_map<EntityId, uint64_t> histogram;
-  const auto& edge_ids = graph.EdgesOfRelType(rel);
-  for (EdgeId id : edge_ids) {
-    const EdgeRecord& e = graph.Edge(id);
-    const EntityId value = direction == Direction::kOutgoing ? e.dst : e.src;
-    ++histogram[value];
+  *occurrences = 0;
+  for (EntityId src : graph.EntitiesOfType(graph.RelType(rel).src_type)) {
+    for (const FrozenGraph::Arc& arc :
+         graph.csr().RelArcs(src, rel, Direction::kOutgoing)) {
+      ++histogram[direction == Direction::kOutgoing ? arc.neighbor : src];
+      ++*occurrences;
+    }
   }
   std::vector<uint64_t> counts;
   counts.reserve(histogram.size());
   for (const auto& [value, count] : histogram) counts.push_back(count);
   *distinct = histogram.size();
-  *occurrences = edge_ids.size();
   return EntropyLog2(counts);
 }
 

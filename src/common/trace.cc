@@ -12,6 +12,9 @@ thread_local RequestTrace* t_current_trace = nullptr;
 // start, so reading it from a signal handler is safe.
 thread_local TracePhase t_current_phase = TracePhase::kIdle;
 
+// The innermost live ScopedTracePhase on this thread.
+thread_local ScopedTracePhase* t_current_scope = nullptr;
+
 }  // namespace
 
 int64_t MonotonicNanos() {
@@ -35,6 +38,8 @@ const char* TracePhaseName(TracePhase phase) {
       return "idle";
     case TracePhase::kRead:
       return "read";
+    case TracePhase::kQueue:
+      return "queue";
     case TracePhase::kAdmission:
       return "admission";
     case TracePhase::kHandler:
@@ -57,12 +62,34 @@ const char* TracePhaseName(TracePhase phase) {
 
 TracePhase CurrentTracePhase() { return t_current_phase; }
 
-ScopedTracePhase::ScopedTracePhase(TracePhase phase)
-    : previous_(t_current_phase) {
+ScopedTracePhase::ScopedTracePhase(TracePhase phase, double* elapsed_seconds)
+    : phase_(phase),
+      parent_(t_current_scope),
+      trace_(t_current_trace),
+      elapsed_seconds_(elapsed_seconds) {
+  if (trace_ != nullptr || elapsed_seconds_ != nullptr) {
+    start_ns_ = MonotonicNanos();
+  }
+  t_current_scope = this;
   t_current_phase = phase;
 }
 
-ScopedTracePhase::~ScopedTracePhase() { t_current_phase = previous_; }
+ScopedTracePhase::~ScopedTracePhase() {
+  t_current_scope = parent_;
+  t_current_phase = parent_ != nullptr ? parent_->phase_ : TracePhase::kIdle;
+  if (start_ns_ == 0) return;
+  const int64_t elapsed_ns = MonotonicNanos() - start_ns_;
+  if (elapsed_seconds_ != nullptr) {
+    *elapsed_seconds_ = static_cast<double>(elapsed_ns) * 1e-9;
+  }
+  if (trace_ == nullptr) return;
+  trace_->PhaseNs(phase_) += elapsed_ns;
+  // Self time: the enclosing scope's phase does not bill this interval
+  // too. Only a scope timing into the same trace has it in its elapsed.
+  if (parent_ != nullptr && parent_->trace_ == trace_) {
+    trace_->PhaseNs(parent_->phase_) -= elapsed_ns;
+  }
+}
 
 TraceIdGenerator::TraceIdGenerator(uint64_t seed) : rng_(seed) {}
 

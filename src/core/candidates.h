@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/trace.h"
 #include "core/key_pairs.h"
 #include "core/key_scoring.h"
 #include "core/nonkey_scoring.h"
@@ -45,19 +46,6 @@ struct TypeCandidates {
   double TopSum(size_t m) const { return prefix[m]; }
 };
 
-/// Wall-clock breakdown of one PreparedSchema build, by phase. The paper
-/// computes all scoring measures before discovery (§5), so on large
-/// graphs these phases — not the discovery algorithms — dominate
-/// end-to-end latency; the breakdown is what the perf benches and the
-/// CLI's --verbose mode report.
-struct PrepareTimings {
-  double key_seconds = 0.0;            // key-measure scoring
-  double nonkey_seconds = 0.0;         // non-key-measure scoring
-  double distance_seconds = 0.0;       // all-pairs distances + pair rows
-  double candidate_sort_seconds = 0.0; // Γτ sort + prefix sums
-  double total_seconds = 0.0;          // whole Create call
-};
-
 class PreparedSchema {
  public:
   /// Builds from a schema graph (and the entity graph when a measure needs
@@ -85,7 +73,8 @@ class PreparedSchema {
   /// over T eligible types; past kMaxPairRowWords (8 MiB) only the types
   /// are kept.
   const PairRows& pair_rows() const { return pair_rows_; }
-  /// Per-phase wall-clock cost of the Create call that built this.
+  /// Per-phase wall-clock cost of the Create call that built this
+  /// (PrepareTimings, common/trace.h).
   const PrepareTimings& timings() const { return timings_; }
 
   size_t num_types() const { return schema_.num_types(); }

@@ -42,11 +42,6 @@ const std::string& EntityGraph::RelSurfaceName(RelTypeId r) const {
   return surface_names_.Get(RelType(r).surface_name);
 }
 
-const std::vector<EdgeId>& EntityGraph::EdgesOfRelType(RelTypeId r) const {
-  EGP_CHECK(r < rel_type_edges_.size()) << "bad rel type id " << r;
-  return rel_type_edges_[r];
-}
-
 const EdgeRecord& EntityGraph::Edge(EdgeId id) const {
   EGP_CHECK(id < edges_.size()) << "bad edge id " << id;
   return edges_[id];

@@ -66,8 +66,6 @@ class EntityGraph {
   // --- Relationship types ------------------------------------------------
   const RelTypeInfo& RelType(RelTypeId r) const;
   const std::string& RelSurfaceName(RelTypeId r) const;
-  /// All data edges of a relationship type; |.| is Sτ_cov(γ).
-  const std::vector<EdgeId>& EdgesOfRelType(RelTypeId r) const;
 
   // --- Edges ---------------------------------------------------------------
   const EdgeRecord& Edge(EdgeId id) const;
@@ -102,7 +100,6 @@ class EntityGraph {
   std::vector<std::vector<TypeId>> entity_types_;     // per entity
   std::vector<std::vector<EntityId>> type_members_;   // per type
   std::vector<EdgeRecord> edges_;
-  std::vector<std::vector<EdgeId>> rel_type_edges_;   // per rel type
   FrozenGraph csr_;
 };
 

@@ -28,7 +28,6 @@ RelTypeId EntityGraphBuilder::AddRelationshipType(std::string_view surface_name,
   if (it != rel_type_index_.end()) return it->second;
   const RelTypeId id = static_cast<RelTypeId>(graph_.rel_types_.size());
   graph_.rel_types_.push_back(RelTypeInfo{surface, src_type, dst_type});
-  graph_.rel_type_edges_.emplace_back();
   rel_type_index_.emplace(key, id);
   return id;
 }
@@ -76,9 +75,7 @@ Status EntityGraphBuilder::AddEdge(EntityId src, RelTypeId rel_type,
         graph_.TypeName(info.dst_type).c_str(),
         graph_.RelSurfaceName(rel_type).c_str()));
   }
-  const EdgeId id = static_cast<EdgeId>(graph_.edges_.size());
   graph_.edges_.push_back(EdgeRecord{src, dst, rel_type});
-  graph_.rel_type_edges_[rel_type].push_back(id);
   return Status::OK();
 }
 

@@ -11,8 +11,11 @@ SchemaGraph SchemaGraph::FromEntityGraph(const EntityGraph& graph) {
   for (TypeId t = 0; t < graph.num_types(); ++t) {
     schema.AddType(graph.TypeName(t), graph.TypeEntityCount(t));
   }
+  // Sτ_cov(γ): the data edges of each relationship type, in one pass.
+  std::vector<uint64_t> supports(graph.num_rel_types(), 0);
+  for (const EdgeRecord& e : graph.edges()) ++supports[e.rel_type];
   for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
-    const size_t support = graph.EdgesOfRelType(r).size();
+    const uint64_t support = supports[r];
     if (support == 0) continue;  // Es membership requires a data edge (§2).
     const RelTypeInfo& info = graph.RelType(r);
     const uint32_t index =

@@ -57,24 +57,12 @@ ValidationReport ValidateEntityGraph(const EntityGraph& graph) {
                                     Direction::kIncoming), e.src)) {
       violate(StrFormat("edge %u missing from destination's in arcs", id));
     }
-    const auto& by_rel = graph.EdgesOfRelType(e.rel_type);
-    if (std::find(by_rel.begin(), by_rel.end(), id) == by_rel.end()) {
-      violate(StrFormat("edge %u missing from relationship index", id));
-    }
   }
 
-  // Index sizes partition the edge set.
-  size_t rel_total = 0;
-  for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
-    rel_total += graph.EdgesOfRelType(r).size();
-  }
+  // The CSR holds each edge exactly once per direction.
   if (graph.csr().num_arcs() != graph.num_edges()) {
     violate(StrFormat("CSR holds %zu arcs for %zu edges",
                       graph.csr().num_arcs(), graph.num_edges()));
-  }
-  if (rel_total != graph.num_edges()) {
-    violate(StrFormat("relationship indexes cover %zu of %zu edges",
-                      rel_total, graph.num_edges()));
   }
 
   // Membership symmetry: TypesOf(v) <-> EntitiesOfType(t).

@@ -9,8 +9,8 @@ namespace egp {
 namespace {
 
 /// Milliseconds with enough digits for sub-microsecond phases.
-void Millis(JsonWriter* out, std::string_view key, double seconds) {
-  out->Key(key).Number(seconds * 1e3, 6);
+void Millis(JsonWriter* out, std::string_view key, double ms) {
+  out->Key(key).Number(ms, 6);
 }
 
 }  // namespace
@@ -27,24 +27,20 @@ void WriteRequestTraceJson(const RequestTrace& trace, std::string_view level,
   out->Key("cacheHit").Bool(trace.cache_hit);
   out->Key("bytesIn").Uint(trace.bytes_in);
   out->Key("bytesOut").Uint(trace.bytes_out);
-  Millis(out, "totalMs", trace.total_seconds);
+  Millis(out, "totalMs", trace.total_seconds * 1e3);
   out->Key("phases").BeginObject();
-  Millis(out, "readMs", trace.read_seconds);
-  Millis(out, "queueMs", trace.queue_seconds);
-  Millis(out, "admissionMs", trace.admission_seconds);
-  Millis(out, "handlerMs", trace.handler_seconds);
-  Millis(out, "serializeMs", trace.serialize_seconds);
-  Millis(out, "flushMs", trace.flush_seconds);
-  out->EndObject().Key("engine").BeginObject();
-  Millis(out, "prepareMs", trace.prepare_seconds);
-  Millis(out, "discoverMs", trace.discover_seconds);
-  Millis(out, "sampleMs", trace.sample_seconds);
-  out->Key("prepare").BeginObject();
-  Millis(out, "keyMs", trace.prepare_key_seconds);
-  Millis(out, "nonkeyMs", trace.prepare_nonkey_seconds);
-  Millis(out, "distanceMs", trace.prepare_distance_seconds);
-  Millis(out, "candidateSortMs", trace.prepare_candidate_sort_seconds);
-  out->EndObject().EndObject().EndObject();
+  for (int i = 1; i < kTracePhaseCount; ++i) {  // every phase but idle
+    const std::string key =
+        std::string(TracePhaseName(static_cast<TracePhase>(i))) + "Ms";
+    Millis(out, key, static_cast<double>(trace.phase_ns[i]) * 1e-6);
+  }
+  const PrepareTimings& build = trace.build;
+  out->EndObject().Key("build").BeginObject();
+  Millis(out, "keyMs", build.key_seconds * 1e3);
+  Millis(out, "nonkeyMs", build.nonkey_seconds * 1e3);
+  Millis(out, "distanceMs", build.distance_seconds * 1e3);
+  Millis(out, "candidateSortMs", build.candidate_sort_seconds * 1e3);
+  out->EndObject().EndObject();
 }
 
 std::string RequestTraceToJson(const RequestTrace& trace,

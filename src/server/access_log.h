@@ -1,8 +1,9 @@
 // Structured JSON-lines access logging: one self-contained JSON object
 // per completed request, built from the transport's RequestTrace. The
-// line carries the full phase breakdown (read/queue/admission/handler/
-// serialize/flush), byte counts, Engine timings, and the outcome — the
-// per-request causality that /metrics aggregates away.
+// line carries the trace's phase array (one `<phase>Ms` key per
+// TracePhase but idle, self times that partition the request), byte
+// counts, the prepared-schema build the request ran, and the outcome —
+// the per-request causality that /metrics aggregates away.
 //
 // Lines are level-gated through the process log level: a normal request
 // logs at INFO, and a request slower than `slow_request_ms` is promoted

@@ -8,7 +8,6 @@
 #include "common/lock_stats.h"
 #include "common/profiler.h"
 #include "common/strings.h"
-#include "common/timer.h"
 #include "common/trace.h"
 #include "io/json_export.h"
 #include "server/access_log.h"
@@ -381,7 +380,7 @@ std::string PreviewResponseToJson(const Engine& engine,
   json.Key("prepareSeconds").Number(response.prepare_seconds);
   json.Key("discoverSeconds").Number(response.discover_seconds);
   json.Key("sampleSeconds").Number(response.sample_seconds);
-  const PrepareTimings& phases = response.prepare_timings;
+  const PrepareTimings& phases = response.prepared->timings();
   json.Key("preparePhases").BeginObject();
   json.Key("keySeconds").Number(phases.key_seconds);
   json.Key("nonkeySeconds").Number(phases.nonkey_seconds);
@@ -533,11 +532,7 @@ HttpResponse PreviewService::HandlePreview(const HttpRequest& request,
     admission_.RecordHot();
   } else {
     const ScopedTracePhase profiled_phase(TracePhase::kAdmission);
-    Timer admission_timer;
     ticket = admission_.AcquireCold();
-    if (trace != nullptr) {
-      trace->admission_seconds = admission_timer.ElapsedSeconds();
-    }
     if (!ticket.admitted()) {
       if (trace != nullptr) trace->outcome = "shed";
       HttpResponse shed = JsonErrorResponse(

@@ -486,23 +486,19 @@ void HttpServer::DispatchRequest(Connection* conn) {
   const uint64_t generation = conn->generation;
   // The task shares the trace with the connection: the pool thread owns
   // its handler-side fields until the completion is queued (the
-  // completion mutex orders the handback).
+  // completion mutex orders the handback), so every phase scope on this
+  // thread closes before PushCompletion.
   pool_->Submit([this, fd, generation, request, trace = conn->trace] {
     Completion completion;
     completion.fd = fd;
     completion.generation = generation;
-    if (trace != nullptr) {
-      const int64_t start_ns = MonotonicNanos();
-      trace->queue_seconds =
-          static_cast<double>(start_ns - trace->dispatch_ns) * 1e-9;
-      ScopedRequestTrace scope(trace.get());
-      completion.response = RunHandler(*request);
-      // The admission wait is reported as its own phase, not as
-      // handler compute.
-      trace->handler_seconds =
-          static_cast<double>(MonotonicNanos() - start_ns) * 1e-9 -
-          trace->admission_seconds;
-    } else {
+    {
+      const ScopedRequestTrace current(trace.get());
+      const ScopedTracePhase handler(TracePhase::kHandler);
+      if (trace != nullptr) {
+        trace->PhaseNs(TracePhase::kQueue) =
+            handler.start_ns() - trace->dispatch_ns;
+      }
       completion.response = RunHandler(*request);
     }
     PushCompletion(std::move(completion));
@@ -524,8 +520,7 @@ void HttpServer::BeginTrace(Connection* conn, const HttpRequest* request,
   trace->start_ns = conn->request_start_ns;
   const int64_t now_ns = MonotonicNanos();
   trace->dispatch_ns = now_ns;
-  trace->read_seconds =
-      static_cast<double>(now_ns - conn->request_start_ns) * 1e-9;
+  trace->PhaseNs(TracePhase::kRead) = now_ns - conn->request_start_ns;
   conn->trace = std::move(trace);
 }
 
@@ -534,8 +529,7 @@ void HttpServer::FinishTrace(Connection* conn) {
   RequestTrace& trace = *conn->trace;
   const int64_t now_ns = MonotonicNanos();
   if (conn->flush_start_ns != 0) {
-    trace.flush_seconds =
-        static_cast<double>(now_ns - conn->flush_start_ns) * 1e-9;
+    trace.PhaseNs(TracePhase::kFlush) = now_ns - conn->flush_start_ns;
   }
   trace.total_seconds = static_cast<double>(now_ns - trace.start_ns) * 1e-9;
   // Transport-level outcomes ("parse_error", "shed", ...) were set at
@@ -547,8 +541,7 @@ void HttpServer::FinishTrace(Connection* conn) {
 }
 
 HttpResponse HttpServer::RunHandler(const HttpRequest& request) {
-  // Runs on a pool thread.
-  const ScopedTracePhase profiled_phase(TracePhase::kHandler);
+  // Runs on a pool thread, inside the kHandler phase scope.
   try {
     return handler_(request);
   } catch (const std::exception& e) {
@@ -639,8 +632,8 @@ void HttpServer::SendResponse(Connection* conn, HttpResponse& response,
     const int64_t serialize_start_ns = MonotonicNanos();
     conn->outbox = SerializeResponse(response, keep, omit_body);
     const int64_t flush_start_ns = MonotonicNanos();
-    trace.serialize_seconds =
-        static_cast<double>(flush_start_ns - serialize_start_ns) * 1e-9;
+    trace.PhaseNs(TracePhase::kSerialize) =
+        flush_start_ns - serialize_start_ns;
     trace.bytes_out = conn->outbox.size();
     conn->flush_start_ns = flush_start_ns;
   } else {

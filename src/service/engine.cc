@@ -4,12 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/parallel.h"
-#include "common/timer.h"
 #include "common/trace.h"
 #include "core/discover.h"
 
@@ -149,7 +149,7 @@ Engine::CacheStats Engine::cache_stats() const {
 
 Result<std::shared_ptr<const PreparedSchema>> Engine::Prepared(
     const MeasureSelection& measures) const {
-  return PreparedInternal(measures, nullptr);
+  return PreparedInternal(measures, nullptr, nullptr);
 }
 
 std::vector<Engine::CacheEntryInfo> Engine::cache_entries() const {
@@ -204,10 +204,13 @@ bool Engine::IsPrepared(const MeasureSelection& measures) const {
 }
 
 Result<std::shared_ptr<const PreparedSchema>> Engine::PreparedInternal(
-    const MeasureSelection& measures, bool* cache_hit) const {
+    const MeasureSelection& measures, bool* cache_hit,
+    double* seconds) const {
   using PreparedResult = Result<std::shared_ptr<const PreparedSchema>>;
+  const ScopedTracePhase profiled_phase(TracePhase::kPrepare, seconds);
   const std::string key = MeasureCacheKey(measures);
   State& state = *state_;
+  RequestTrace* trace = CurrentRequestTrace();
 
   std::promise<PreparedResult> promise;
   std::shared_future<PreparedResult> future;
@@ -218,14 +221,12 @@ Result<std::shared_ptr<const PreparedSchema>> Engine::PreparedInternal(
     auto it = state.cache.find(key);
     if (it != state.cache.end()) {
       ++state.hits;
-      if (cache_hit != nullptr) *cache_hit = true;
       it->second.last_used = ++state.tick;
       ++it->second.hits;
       it->second.last_used_ns = MonotonicNanos();
       future = it->second.future;
     } else {
       ++state.misses;
-      if (cache_hit != nullptr) *cache_hit = false;
       if (state.options.prepared_cache_capacity > 0 &&
           state.cache.size() >= state.options.prepared_cache_capacity) {
         // Evict the least-recently-used entry. Waiters on an evicted
@@ -250,25 +251,21 @@ Result<std::shared_ptr<const PreparedSchema>> Engine::PreparedInternal(
       builder = true;
     }
   }
+  if (cache_hit != nullptr) *cache_hit = !builder;
+  if (trace != nullptr) trace->cache_hit = !builder;
 
   if (builder) {
     // The expensive part runs without the lock; only same-configuration
     // requesters wait (on the future), everyone else proceeds.
-    const ScopedTracePhase profiled_phase(TracePhase::kPrepare);
-    Timer build_timer;
     auto built = PreparedSchema::Create(
         state.schema, measures, state.graph ? &*state.graph : nullptr,
         state.BuildPool());
-    if (RequestTrace* trace = CurrentRequestTrace()) {
-      EGP_LOG(Debug) << "cold prepared-schema build key=" << key
-                     << " trace=" << trace->id << " seconds="
-                     << build_timer.ElapsedSeconds()
-                     << (built.ok() ? "" : " (failed)");
-    } else {
-      EGP_LOG(Debug) << "cold prepared-schema build key=" << key
-                     << " seconds=" << build_timer.ElapsedSeconds()
-                     << (built.ok() ? "" : " (failed)");
-    }
+    if (trace != nullptr && built.ok()) trace->build = built->timings();
+    EGP_LOG(Debug) << "cold prepared-schema build key=" << key
+                   << (trace != nullptr ? " trace=" + trace->id : "")
+                   << (built.ok() ? " seconds=" + std::to_string(
+                                        built->timings().total_seconds)
+                                  : " (failed)");
     PreparedResult result =
         built.ok() ? PreparedResult(std::make_shared<const PreparedSchema>(
                          std::move(built).value()))
@@ -310,13 +307,11 @@ Result<PreviewResponse> Engine::Preview(const PreviewRequest& request) const {
         "schema graph only");
   }
 
-  Timer prepare_timer;
   std::shared_ptr<const PreparedSchema> prepared;
   EGP_ASSIGN_OR_RETURN(
-      prepared,
-      PreparedInternal(request.measures, &response.prepared_cache_hit));
-  response.prepare_seconds = prepare_timer.ElapsedSeconds();
-  response.prepare_timings = prepared->timings();
+      prepared, PreparedInternal(request.measures,
+                                 &response.prepared_cache_hit,
+                                 &response.prepare_seconds));
   response.prepared = prepared;
 
   // Resolve the effective constraints.
@@ -340,20 +335,19 @@ Result<PreviewResponse> Engine::Preview(const PreviewRequest& request) const {
     }
   }
 
-  Timer discover_timer;
   {
-    const ScopedTracePhase profiled_phase(TracePhase::kDiscover);
+    const ScopedTracePhase profiled_phase(TracePhase::kDiscover,
+                                          &response.discover_seconds);
     EGP_ASSIGN_OR_RETURN(
         response.preview,
         Discover(*prepared, request.algorithm, response.size,
                  response.distance, &response.stats, &response.algorithm));
   }
-  response.discover_seconds = discover_timer.ElapsedSeconds();
   response.score = response.preview.Score(*prepared);
 
   if (request.sample_rows > 0) {
-    const ScopedTracePhase profiled_phase(TracePhase::kSample);
-    Timer sample_timer;
+    const ScopedTracePhase profiled_phase(TracePhase::kSample,
+                                          &response.sample_seconds);
     TupleSamplerOptions sampler;
     sampler.rows_per_table = request.sample_rows;
     sampler.seed = request.sample_seed;
@@ -363,22 +357,6 @@ Result<PreviewResponse> Engine::Preview(const PreviewRequest& request) const {
                                            response.preview, sampler);
     if (!materialized.ok()) return materialized.status();
     response.materialized = std::move(materialized).value();
-    response.sample_seconds = sample_timer.ElapsedSeconds();
-  }
-
-  // Annotate the in-flight request trace (if the transport attached
-  // one): the access log and flight recorder get the engine-side phase
-  // breakdown without any signature plumbing.
-  if (RequestTrace* trace = CurrentRequestTrace()) {
-    trace->cache_hit = response.prepared_cache_hit;
-    trace->prepare_seconds = response.prepare_seconds;
-    trace->discover_seconds = response.discover_seconds;
-    trace->sample_seconds = response.sample_seconds;
-    const PrepareTimings& phases = response.prepare_timings;
-    trace->prepare_key_seconds = phases.key_seconds;
-    trace->prepare_nonkey_seconds = phases.nonkey_seconds;
-    trace->prepare_distance_seconds = phases.distance_seconds;
-    trace->prepare_candidate_sort_seconds = phases.candidate_sort_seconds;
   }
   return response;
 }

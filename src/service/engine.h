@@ -86,16 +86,16 @@ struct PreviewResponse {
   DiscoveryStats stats;
   /// Whether the prepared (scored) state came from the Engine's cache.
   bool prepared_cache_hit = false;
+  /// Elapsed time of this request's prepare (cache lookup, wait or
+  /// build), discover and sample phase scopes.
   double prepare_seconds = 0.0;
   double discover_seconds = 0.0;
   double sample_seconds = 0.0;
-  /// Per-phase breakdown (key / non-key scoring, distances, Γτ sort) of
-  /// the build that produced `prepared`. On a cache hit this describes
-  /// the original build, not this request's wait (= prepare_seconds).
-  PrepareTimings prepare_timings;
 
   /// The immutable prepared snapshot the preview was discovered against;
   /// use it with DescribePreview, ValidatePreview, Preview::Score, etc.
+  /// Its timings() break down the build that produced it; on a cache
+  /// hit that is the original build, not this request's wait.
   std::shared_ptr<const PreparedSchema> prepared;
 };
 
@@ -200,8 +200,13 @@ class Engine {
   struct State;
   explicit Engine(std::shared_ptr<State> state) : state_(std::move(state)) {}
 
+  /// The cached (or newly built) prepared state, under one kPrepare
+  /// phase scope whose elapsed time lands in `seconds` when given.
+  /// Records the cache outcome, and a build's timings, on the current
+  /// request trace.
   Result<std::shared_ptr<const PreparedSchema>> PreparedInternal(
-      const MeasureSelection& measures, bool* cache_hit) const;
+      const MeasureSelection& measures, bool* cache_hit,
+      double* seconds) const;
 
   std::shared_ptr<State> state_;
 };

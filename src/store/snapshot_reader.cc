@@ -41,10 +41,6 @@ struct GraphAssembler {
     graph.entity_types_ = std::move(entity_types);
     graph.type_members_ = std::move(type_members);
     graph.edges_ = std::move(edges);
-    graph.rel_type_edges_.resize(graph.rel_types_.size());
-    for (EdgeId id = 0; id < graph.edges_.size(); ++id) {
-      graph.rel_type_edges_[graph.edges_[id].rel_type].push_back(id);
-    }
     graph.csr_ = std::move(csr);
     return graph;
   }

@@ -176,6 +176,7 @@ TEST(TracePhaseTest, PhaseNamesAreStable) {
   EXPECT_STREQ(TracePhaseName(TracePhase::kDiscover), "discover");
   EXPECT_STREQ(TracePhaseName(TracePhase::kFlush), "flush");
   EXPECT_STREQ(TracePhaseName(TracePhase::kRender), "render");
+  EXPECT_STREQ(TracePhaseName(TracePhase::kQueue), "queue");
 }
 
 TEST(TracePhaseTest, EveryPhaseHasADistinctName) {
@@ -184,7 +185,7 @@ TEST(TracePhaseTest, EveryPhaseHasADistinctName) {
     names.insert(TracePhaseName(static_cast<TracePhase>(i)));
   }
   EXPECT_EQ(names.size(), static_cast<size_t>(kTracePhaseCount));
-  EXPECT_EQ(kTracePhaseCount, 10);
+  EXPECT_EQ(kTracePhaseCount, 11);
   EXPECT_EQ(static_cast<int>(TracePhase::kFlush) + 1, kTracePhaseCount);
   // Out of range maps to idle.
   EXPECT_STREQ(TracePhaseName(static_cast<TracePhase>(kTracePhaseCount)),

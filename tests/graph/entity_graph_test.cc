@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/entity_graph_builder.h"
+#include "tests/testing/edge_scan.h"
 
 namespace egp {
 namespace {
@@ -57,7 +58,7 @@ TEST_F(EntityGraphTest, AdjacencyIndexes) {
   EXPECT_EQ(g.csr().OutDegree(0), 1u);
   EXPECT_EQ(g.csr().InDegree(2), 2u);
   EXPECT_TRUE(g.csr().OutArcs(2).empty());
-  EXPECT_EQ(g.EdgesOfRelType(0).size(), 2u);
+  EXPECT_EQ(testing_util::RelTypeEdgeCount(g, 0), 2u);
 }
 
 TEST_F(EntityGraphTest, NeighborSetDirections) {

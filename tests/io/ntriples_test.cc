@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "tests/testing/edge_scan.h"
+
 namespace egp {
 namespace {
 
@@ -271,7 +273,7 @@ TEST(NTriplesTest, DuplicatePredicatesBecomeOneRelType) {
   auto graph = ReadNTriples(in);
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph->num_rel_types(), 1u);
-  EXPECT_EQ(graph->EdgesOfRelType(0).size(), 2u);
+  EXPECT_EQ(testing_util::RelTypeEdgeCount(*graph, 0), 2u);
 }
 
 }  // namespace

@@ -131,20 +131,23 @@ std::vector<std::string> RenderGoldenLines() {
   trace.cache_hit = true;
   trace.bytes_in = 123;
   trace.bytes_out = 4567;
-  trace.read_seconds = 1.25e-5;
-  trace.queue_seconds = 0.0;
-  trace.admission_seconds = 3.0000001e-4;
-  trace.handler_seconds = 0.00123456789;
-  trace.serialize_seconds = 7e-9;
-  trace.flush_seconds = 2.5e-3;
+  // Phase values exercise the number formatter: sub-microsecond,
+  // zero, and >= 1e8 ms.
+  trace.PhaseNs(TracePhase::kRead) = 12'500;
+  trace.PhaseNs(TracePhase::kQueue) = 0;
+  trace.PhaseNs(TracePhase::kAdmission) = 300'000;
+  trace.PhaseNs(TracePhase::kHandler) = 1'234'568;
+  trace.PhaseNs(TracePhase::kPrepare) = 100;
+  trace.PhaseNs(TracePhase::kDiscover) = 987'654;
+  trace.PhaseNs(TracePhase::kSample) = 123'456'789'000'000'000;
+  trace.PhaseNs(TracePhase::kRender) = 45'678;
+  trace.PhaseNs(TracePhase::kSerialize) = 7;
+  trace.PhaseNs(TracePhase::kFlush) = 2'500'000;
   trace.total_seconds = 12.345678901;
-  trace.prepare_seconds = 1e-7;
-  trace.discover_seconds = 0.0009876543;
-  trace.sample_seconds = 123456.789;
-  trace.prepare_key_seconds = 1.0 / 3.0;
-  trace.prepare_nonkey_seconds = 2.0 / 3.0;
-  trace.prepare_distance_seconds = 1e-300;
-  trace.prepare_candidate_sort_seconds = 4.2;
+  trace.build.key_seconds = 1.0 / 3.0;
+  trace.build.nonkey_seconds = 2.0 / 3.0;
+  trace.build.distance_seconds = 1e-300;
+  trace.build.candidate_sort_seconds = 4.2;
   lines.push_back(
       Line("access log line", 400, RequestTraceToJson(trace, "warning")));
   return lines;

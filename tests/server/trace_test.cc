@@ -2,7 +2,7 @@
 // propagation, the per-phase breakdown, the trace_sink handoff, the
 // flight-recorder debug endpoint, and the access-log JSON lines. The
 // shed and trickle cases exercise the outcome taxonomy the runbook
-// keys on ("shed", nonzero read_seconds).
+// keys on ("shed", nonzero read time).
 #include "common/trace.h"
 
 #include <gtest/gtest.h>
@@ -124,10 +124,17 @@ std::string RequestWithId(std::string_view id) {
   return request;
 }
 
+double Seconds(const RequestTrace& trace, TracePhase phase) {
+  return static_cast<double>(trace.PhaseNs(phase)) * 1e-9;
+}
+
+/// All ten timed phases (every TracePhase but idle), in seconds.
 double PhaseSum(const RequestTrace& trace) {
-  return trace.read_seconds + trace.queue_seconds + trace.admission_seconds +
-         trace.handler_seconds + trace.serialize_seconds +
-         trace.flush_seconds;
+  double sum = 0;
+  for (int i = 1; i < kTracePhaseCount; ++i) {
+    sum += Seconds(trace, static_cast<TracePhase>(i));
+  }
+  return sum;
 }
 
 TEST(TraceTest, EchoesClientRequestIdWithFullPhaseBreakdown) {
@@ -153,25 +160,88 @@ TEST(TraceTest, EchoesClientRequestIdWithFullPhaseBreakdown) {
   EXPECT_GT(trace.bytes_in, kPreviewBody.size());
   EXPECT_GT(trace.bytes_out, 0u);
 
-  // Every phase is a real measurement (>= 0) and the breakdown accounts
+  // Every phase is a real measurement (>= 0; self times, so a nested
+  // phase never makes its parent negative) and the breakdown accounts
   // for the total: the only untimed gap is the completion-queue handback
   // to the loop thread, so the sum can fall short of total only by
   // scheduling noise, and can never exceed it.
-  EXPECT_GE(trace.read_seconds, 0.0);
-  EXPECT_GE(trace.queue_seconds, 0.0);
-  EXPECT_GE(trace.admission_seconds, 0.0);
-  EXPECT_GT(trace.handler_seconds, 0.0);
-  EXPECT_GE(trace.serialize_seconds, 0.0);
-  EXPECT_GE(trace.flush_seconds, 0.0);
+  EXPECT_EQ(trace.PhaseNs(TracePhase::kIdle), 0);
+  for (int i = 1; i < kTracePhaseCount; ++i) {
+    EXPECT_GE(trace.phase_ns[i], 0)
+        << TracePhaseName(static_cast<TracePhase>(i));
+  }
+  EXPECT_GT(trace.PhaseNs(TracePhase::kHandler), 0);
   EXPECT_GT(trace.total_seconds, 0.0);
   const double sum = PhaseSum(trace);
   EXPECT_LE(sum, trace.total_seconds * 1.01 + 1e-6);
   EXPECT_LT(trace.total_seconds - sum, 0.25);
 
-  // The Engine annotated the same trace through CurrentRequestTrace.
-  EXPECT_GT(trace.discover_seconds + trace.prepare_seconds +
-                trace.sample_seconds,
+  // The Engine's phase scopes wrote into the same trace through
+  // CurrentRequestTrace.
+  EXPECT_GT(trace.PhaseNs(TracePhase::kPrepare), 0);
+  EXPECT_GT(trace.PhaseNs(TracePhase::kDiscover), 0);
+  EXPECT_GT(trace.PhaseNs(TracePhase::kSample), 0);
+}
+
+TEST(TraceTest, RenderIsItsOwnPhase) {
+  auto traced = StartTracedServer();
+  HttpClient client("127.0.0.1", traced->port());
+  const auto preview = client.Post("/v1/preview", kPreviewBody);
+  ASSERT_TRUE(preview.ok()) << preview.status().ToString();
+  ASSERT_EQ(preview->status, 200);
+  const auto suggest = client.Post(
+      "/v1/suggest", R"({"budget":{"widthChars":100,"heightRows":30}})");
+  ASSERT_TRUE(suggest.ok()) << suggest.status().ToString();
+  ASSERT_EQ(suggest->status, 200);
+  const auto health = client.Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  ASSERT_EQ(health->status, 200);
+
+  const auto traces = traced->collector.WaitFor(3);
+  ASSERT_EQ(traces.size(), 3u);
+  EXPECT_EQ(traces[0].path, "/v1/preview");
+  EXPECT_GT(traces[0].PhaseNs(TracePhase::kRender), 0);
+  EXPECT_EQ(traces[1].path, "/v1/suggest");
+  EXPECT_GT(traces[1].PhaseNs(TracePhase::kRender), 0);
+  EXPECT_EQ(traces[2].path, "/healthz");
+  EXPECT_EQ(traces[2].PhaseNs(TracePhase::kRender), 0);
+  EXPECT_EQ(traces[2].PhaseNs(TracePhase::kPrepare), 0);
+  EXPECT_GT(traces[2].PhaseNs(TracePhase::kHandler), 0);
+}
+
+TEST(TraceTest, OnlyTheBuildingRequestCarriesTheBuild) {
+  auto traced = StartTracedServer();
+  HttpClient client("127.0.0.1", traced->port());
+  for (int i = 0; i < 2; ++i) {
+    const auto response = client.Post("/v1/preview", kPreviewBody);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response->status, 200);
+  }
+  const auto traces = traced->collector.WaitFor(2);
+  ASSERT_EQ(traces.size(), 2u);
+
+  const RequestTrace& cold = traces[0];
+  EXPECT_FALSE(cold.cache_hit);
+  EXPECT_GT(cold.build.total_seconds, 0.0);
+  EXPECT_GT(cold.build.key_seconds + cold.build.nonkey_seconds +
+                cold.build.distance_seconds +
+                cold.build.candidate_sort_seconds,
             0.0);
+  // The build ran inside this request's prepare phase.
+  EXPECT_GE(Seconds(cold, TracePhase::kPrepare), cold.build.total_seconds);
+
+  const RequestTrace& hit = traces[1];
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.build.key_seconds, 0.0);
+  EXPECT_EQ(hit.build.nonkey_seconds, 0.0);
+  EXPECT_EQ(hit.build.distance_seconds, 0.0);
+  EXPECT_EQ(hit.build.candidate_sort_seconds, 0.0);
+  EXPECT_EQ(hit.build.total_seconds, 0.0);
+  const std::string line = RequestTraceToJson(hit);
+  EXPECT_NE(line.find("\"build\":{\"keyMs\":0,\"nonkeyMs\":0,"
+                      "\"distanceMs\":0,\"candidateSortMs\":0}"),
+            std::string::npos)
+      << line;
 }
 
 TEST(TraceTest, GeneratesUniqueIdsAndServesThemFromDebugEndpoint) {
@@ -246,7 +316,8 @@ TEST(TraceTest, ShedRequestIsTracedAsShed) {
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_EQ(traces[0].status, 503);
   EXPECT_EQ(traces[0].outcome, "shed");
-  EXPECT_GE(traces[0].admission_seconds, 0.0);
+  EXPECT_GE(traces[0].PhaseNs(TracePhase::kAdmission), 0);
+  EXPECT_EQ(traces[0].PhaseNs(TracePhase::kPrepare), 0);
 
   // The shed trace is filterable by status on the debug endpoint.
   const auto debug = client.Get("/v1/debug/requests?status=503");
@@ -267,8 +338,9 @@ TEST(TraceTest, TrickledRequestAccruesReadTime) {
   ASSERT_EQ(traces.size(), 1u);
   // The request needed several trickle intervals to arrive, and all of
   // that waiting lands in the read phase (not in handler or queue).
-  EXPECT_GT(traces[0].read_seconds, 0.02);
-  EXPECT_GT(traces[0].total_seconds, traces[0].handler_seconds);
+  EXPECT_GT(Seconds(traces[0], TracePhase::kRead), 0.02);
+  EXPECT_GT(traces[0].total_seconds,
+            Seconds(traces[0], TracePhase::kHandler));
 }
 
 // ---------------------------------------------------------------------------
@@ -284,15 +356,14 @@ RequestTrace SampleTrace() {
   trace.status = 200;
   trace.bytes_in = 120;
   trace.bytes_out = 640;
-  trace.read_seconds = 0.001;
-  trace.queue_seconds = 0.0005;
-  trace.admission_seconds = 0.0;
-  trace.handler_seconds = 0.01;
-  trace.serialize_seconds = 0.0002;
-  trace.flush_seconds = 0.0001;
+  trace.PhaseNs(TracePhase::kRead) = 1'000'000;
+  trace.PhaseNs(TracePhase::kQueue) = 500'000;
+  trace.PhaseNs(TracePhase::kHandler) = 1'000'000;
+  trace.PhaseNs(TracePhase::kDiscover) = 9'000'000;
+  trace.PhaseNs(TracePhase::kSerialize) = 200'000;
+  trace.PhaseNs(TracePhase::kFlush) = 100'000;
   trace.total_seconds = 0.0118;
   trace.cache_hit = true;
-  trace.discover_seconds = 0.009;
   return trace;
 }
 
@@ -303,13 +374,16 @@ TEST(TraceTest, RequestTraceToJsonCarriesTheDocumentedSchema) {
         "\"method\":\"POST\"", "\"path\":\"/v1/preview\"",
         "\"dataset\":\"paper\"", "\"status\":200", "\"outcome\":\"ok\"",
         "\"cacheHit\":true", "\"bytesIn\":120", "\"bytesOut\":640",
-        "\"totalMs\":", "\"phases\":{", "\"readMs\":", "\"queueMs\":",
-        "\"admissionMs\":", "\"handlerMs\":", "\"serializeMs\":",
-        "\"flushMs\":", "\"engine\":{", "\"prepareMs\":",
-        "\"discoverMs\":", "\"sampleMs\":"}) {
+        "\"totalMs\":", "\"phases\":{\"readMs\":1,\"queueMs\":0.5,",
+        "\"admissionMs\":0,", "\"handlerMs\":1,", "\"prepareMs\":0,",
+        "\"discoverMs\":9,", "\"sampleMs\":0,", "\"renderMs\":0,",
+        "\"serializeMs\":0.2,", "\"flushMs\":0.1},",
+        "\"build\":{\"keyMs\":0,\"nonkeyMs\":0,\"distanceMs\":0,"
+        "\"candidateSortMs\":0}}"}) {
     EXPECT_NE(json.find(field), std::string::npos)
         << "missing " << field << " in " << json;
   }
+  EXPECT_EQ(json.find("\"idleMs\""), std::string::npos) << json;
   // Without a level the field is omitted (flight-recorder form).
   EXPECT_EQ(RequestTraceToJson(SampleTrace()).find("\"level\""),
             std::string::npos);

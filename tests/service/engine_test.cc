@@ -325,7 +325,7 @@ TEST(EngineTest, ResponseCarriesPrepareTimings) {
   request.size = {2, 6};
   const auto response = engine.Preview(request);
   ASSERT_TRUE(response.ok());
-  const PrepareTimings& t = response->prepare_timings;
+  const PrepareTimings& t = response->prepared->timings();
   EXPECT_GE(t.key_seconds, 0.0);
   EXPECT_GE(t.nonkey_seconds, 0.0);
   EXPECT_GE(t.distance_seconds, 0.0);
@@ -338,7 +338,7 @@ TEST(EngineTest, ResponseCarriesPrepareTimings) {
   const auto again = engine.Preview(request);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->prepared_cache_hit);
-  EXPECT_EQ(again->prepare_timings.total_seconds, t.total_seconds);
+  EXPECT_EQ(again->prepared->timings().total_seconds, t.total_seconds);
 }
 
 }  // namespace

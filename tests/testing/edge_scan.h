@@ -7,6 +7,7 @@
 #define EGP_TESTS_TESTING_EDGE_SCAN_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -15,6 +16,13 @@
 
 namespace egp {
 namespace testing_util {
+
+/// Sτ_cov(γ): the number of data edges of relationship type `rel_type`.
+inline size_t RelTypeEdgeCount(const EntityGraph& graph, RelTypeId rel_type) {
+  return static_cast<size_t>(std::count_if(
+      graph.edges().begin(), graph.edges().end(),
+      [rel_type](const EdgeRecord& e) { return e.rel_type == rel_type; }));
+}
 
 class EdgeScanAdjacency {
  public:

@@ -315,7 +315,7 @@ int CmdPreview(const std::string& path, const Flags& flags) {
   if (!response.ok()) return Fail(response.status());
 
   if (flags.Has("verbose")) {
-    const PrepareTimings& t = response->prepare_timings;
+    const PrepareTimings& t = response->prepared->timings();
     std::fprintf(stderr,
                  "prepare : %.3f ms total (key %.3f, nonkey %.3f, distances "
                  "%.3f, candidate sort %.3f)%s\n",

@@ -3,7 +3,7 @@
 
 Scope: first-party C++ under src/, tools/, bench/ (tests are exempt —
 they deliberately poke at internals, e.g. raw sockets for misbehaving
-clients). Nine rule families, each born from a real bug class here:
+clients). Ten rule families, each born from a real bug class here:
 
   blocking-io   The event-loop serving core must never block on a
                 socket. The convenience blocking wrappers (SendAll,
@@ -68,9 +68,24 @@ clients). Nine rule families, each born from a real bug class here:
                 (EntityGraph::csr()). Per-entity edge-id lists once held
                 the same adjacency a second time: the snapshot loader
                 rebuilt them with push_back although the file holds the
-                CSR, and row sampling chased edge ids through them.
-                src/ may not spell `out_edges_`/`in_edges_` or call
-                `OutEdges(`/`InEdges(`.
+                CSR, and row sampling chased edge ids through them; a
+                per-relationship edge-id index did the same per type,
+                and validation searched it linearly for every edge.
+                src/ may not spell `out_edges_`/`in_edges_`/
+                `rel_type_edges_` or call `OutEdges(`/`InEdges(`/
+                `EdgesOfRelType(`.
+
+  one-phase-model
+                A request phase is timed once: by ScopedTracePhase
+                (src/common/trace.h), which tags the profiler and adds
+                the phase's self time to RequestTrace::phase_ns, or by
+                the transport's own wall stamps into that array. Engine
+                Timers once copied three of the same phases into the
+                trace field by field, and the access log billed render
+                to the handler while the profiler split it out. Code
+                under src/service/ and src/server/ may not use `Timer`;
+                the catalog, which times dataset loads rather than
+                request phases, is the one exemption.
 
   layering      Modules form a DAG; an #include against the arrow
                 (core/ including server/, say) couples the algorithm
@@ -182,7 +197,18 @@ STRING_LITERAL_RE = re.compile(r'"(?:\\.|[^"\\\n])*"')
 # ---------------------------------------------------------------------------
 # Applies to src/ only: per-entity edge-list adjacency beside the CSR.
 ADJACENCY_FORBIDDEN_RE = re.compile(
-    r"\b(?:out_edges_|in_edges_)\b|\b(?:OutEdges|InEdges)\s*\(")
+    r"\b(?:out_edges_|in_edges_|rel_type_edges_)\b"
+    r"|\b(?:OutEdges|InEdges|EdgesOfRelType)\s*\(")
+
+# ---------------------------------------------------------------------------
+# Rule: one-phase-model
+# ---------------------------------------------------------------------------
+# Applies to the request path: every phase there is a ScopedTracePhase.
+PHASE_MODEL_DIRS = ("src/service/", "src/server/")
+PHASE_MODEL_ALLOWED = {
+    "src/server/catalog.cc",  # times dataset loads, not request phases
+}
+PHASE_MODEL_FORBIDDEN_RE = re.compile(r"\bTimer\b|#\s*include\s*\"common/timer\.h\"")
 
 # ---------------------------------------------------------------------------
 # Rule: layering
@@ -315,6 +341,14 @@ def scan_file(rel_path: str, findings: list) -> None:
                     f"{rel_path}:{lineno}: [one-adjacency] `{m.group(0)}` "
                     f"keeps a second adjacency — read the graph's CSR "
                     f"(EntityGraph::csr(), src/graph/frozen_graph.h)")
+        if (rel_path.startswith(PHASE_MODEL_DIRS)
+                and rel_path not in PHASE_MODEL_ALLOWED):
+            m = PHASE_MODEL_FORBIDDEN_RE.search(line)
+            if m:
+                findings.append(
+                    f"{rel_path}:{lineno}: [one-phase-model] `{m.group(0)}` "
+                    f"times a request phase a second time — use "
+                    f"ScopedTracePhase (src/common/trace.h)")
         if module is not None:
             for inc in QUOTED_INCLUDE_RE.findall(line):
                 target = inc.split("/", 1)[0]
